@@ -4,9 +4,9 @@
 //! Usage: `resilience_study [--smoke] [--json] [--threads N] [--out PATH]
 //! [--seed N] [--telemetry]`
 //!
-//! Each cell attaches one [`ChaosSession`] to both the engine (worker
-//! stalls, worker panics) and the TCP front-end (connection drops, frame
-//! truncation, reply corruption), then drives it with [`ResilientClient`]s
+//! Each cell attaches one [`ChaosSession`] to both a one-shard engine
+//! (worker stalls, worker panics) and the event-loop TCP front-end
+//! (connection drops, frame truncation, reply corruption), then drives it with [`ResilientClient`]s
 //! under a fault-rate sweep. The campaign asserts, per cell:
 //!
 //! * **nothing is lost silently** — every issued request lands in exactly
@@ -29,7 +29,7 @@ use csp_io::write_with_history;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
     BatchPolicy, ChaosSession, Engine, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
-    Server, StatsSnapshot,
+    ShardPolicy, ShardedEngine, ShardedServer, StatsSnapshot,
 };
 use csp_sim::{FaultClass, FaultPlan};
 use csp_tensor::{CspError, CspResult, Tensor};
@@ -160,16 +160,21 @@ fn run_cell(
         FaultPlan::bernoulli(rate, seed).with_classes(classes),
         STALL,
     ));
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load_from_path(MODEL, spec, artifact)?;
-    let engine = Engine::start_with_chaos(
-        registry,
-        BatchPolicy::default(),
-        2,
+    let engine = ShardedEngine::start_with_chaos(
+        ShardPolicy {
+            shards: 1,
+            workers: 2,
+            ..ShardPolicy::default()
+        },
         Some(Arc::clone(&chaos)),
     )?;
-    let server =
-        Server::serve_with_chaos(engine.client(), "127.0.0.1:0", Some(Arc::clone(&chaos)))?;
+    engine.rolling_swap_from_path(MODEL, spec, artifact)?;
+    let server = ShardedServer::serve_with_chaos(
+        engine.client(),
+        "127.0.0.1:0",
+        1,
+        Some(Arc::clone(&chaos)),
+    )?;
     let addr = server.addr();
 
     let start = Instant::now();

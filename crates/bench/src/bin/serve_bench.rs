@@ -4,31 +4,28 @@
 //! Usage: `serve_bench [--smoke] [--json] [--threads N] [--out PATH]
 //! [--seed N] [--shards N]`
 //!
-//! Eight phases:
+//! Six phases:
 //!
 //! 1. **Closed loop, in-process** — sweep batch policy × concurrent
 //!    clients; each client issues its next request the moment the
 //!    previous one completes, so throughput is bounded by service time.
-//! 2. **Open loop, real TCP** — a `Server` on an ephemeral loopback port;
-//!    paced connections offer a fixed load regardless of completions,
-//!    the regime where admission control starts to matter.
-//! 3. **Overload** — a tiny queue hammered by unpaced clients; the engine
-//!    must shed with typed errors, never stall or crash.
-//! 4. **Deadline sweep** — a slow batcher (long `max_wait`) fed requests
-//!    whose budgets are far shorter than the batch hold time; queued
-//!    requests must be shed as typed `Expired`, never executed late.
-//! 5. **Execution sweep** — the same closed-loop load served dense, weaved
+//! 2. **Open loop, real TCP** — a one-shard engine behind the
+//!    `ShardedServer` event loop on an ephemeral loopback port; paced
+//!    connections offer a fixed load regardless of completions.
+//! 3. **Execution sweep** — the same closed-loop load served dense, weaved
 //!    (f32 early-stop from the compressed layout), and weaved-int8, so
 //!    `BENCH_serve.json` carries measured rows per execution backend.
-//! 6. **TCP deadline** — the open-loop TCP driver pushed past its deadline
-//!    budget: paced wire requests carrying budgets far below the batch
-//!    hold time must come back as typed `Expired` over the socket.
-//! 7. **Overload sweep** — an open-loop offered-rate ladder over the
+//! 4. **TCP deadline** — unpaced TCP pushed past its deadline budget: a
+//!    slow batcher (long `max_wait`) fed wire requests whose budgets are
+//!    far below the batch hold time must answer them as typed `Expired`
+//!    over the socket, never executing them late.
+//! 5. **Overload sweep** — an open-loop offered-rate ladder over the
 //!    sharded event-loop front-end, run once at 1 engine shard and once
-//!    at `--shards N` (default 2), ending in an unpaced saturating rung.
-//!    Maps the latency/throughput/shed frontier and pins the request
-//!    accounting closed at every rung.
-//! 8. **Lineup** — every model-zoo family deployed concurrently on one
+//!    at `--shards N` (default 2), ending in an unpaced saturating rung
+//!    into a small queue where admission control must shed. Maps the
+//!    latency/throughput/shed frontier and pins the request accounting
+//!    closed at every rung.
+//! 6. **Lineup** — every model-zoo family deployed concurrently on one
 //!    sharded engine, each family on its own execution axis (dense /
 //!    weaved / weaved-int8), all served at once over the same sockets.
 //!
@@ -40,8 +37,9 @@
 //! `--smoke` shrinks the sweep for CI but still pushes ≥ 100 requests
 //! through the real TCP path and verifies the smoke invariants (zero shed
 //! at low load, nonzero latency percentiles, populated batch histogram,
-//! nonzero shed under overload, nonzero expired in the deadline sweep,
-//! exactly one typed outcome per request), exiting nonzero on violation.
+//! nonzero shed at the saturating rung, nonzero expired in the TCP
+//! deadline phase, exactly one typed outcome per request), exiting
+//! nonzero on violation.
 //! `--json` additionally writes `results/BENCH_serve.json`; the study
 //! table always goes to stdout and `results/serve_study.txt`.
 
@@ -50,7 +48,7 @@ use csp_core::ModelFamily;
 use csp_io::write_with_history;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, Server, ShardPolicy, ShardedEngine,
+    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, ShardPolicy, ShardedEngine,
     ShardedServer, StatsSnapshot, TcpClient,
 };
 use csp_tensor::{CspError, CspResult, Tensor};
@@ -183,244 +181,11 @@ fn closed_loop(
     })
 }
 
-/// Open loop over real TCP: `conns` persistent connections, each pacing
-/// requests at a fixed interval regardless of completion times.
-#[allow(clippy::too_many_arguments)]
-fn tcp_open_loop(
-    spec: ModelSpec,
-    artifact: &Path,
-    policy: BatchPolicy,
-    workers: usize,
-    conns: usize,
-    per_conn: usize,
-    pace: Duration,
-    seed: u64,
-) -> CspResult<Cell> {
-    let engine = Engine::start(registry_from_disk(spec, artifact)?, policy, workers)?;
-    let server = Server::serve(engine.client(), "127.0.0.1:0")?;
-    let addr = server.addr();
-    let samples = request_pool(spec, seed);
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|t| {
-            let samples = samples.clone();
-            std::thread::spawn(move || -> Result<Outcomes, CspError> {
-                let mut tcp = TcpClient::connect(&addr)?;
-                let mut outcomes = Outcomes::default();
-                for i in 0..per_conn {
-                    let x = &samples[(t + i) % samples.len()];
-                    outcomes.record(&tcp.infer(MODEL, x, None));
-                    std::thread::sleep(pace);
-                }
-                Ok(outcomes)
-            })
-        })
-        .collect();
-    let mut outcomes = Outcomes::default();
-    for h in handles {
-        match h.join() {
-            Ok(Ok(o)) => outcomes.merge(o),
-            // A connection that could not even be established counts all
-            // its requests as transport errors.
-            _ => outcomes.transport += per_conn as u64,
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let snap = engine.stats(MODEL);
-    server.shutdown(Duration::from_secs(10))?;
-    engine.shutdown()?;
-    let offered = conns as f64 / pace.as_secs_f64().max(1e-9);
-    Ok(Cell {
-        phase: "tcp-open",
-        label: format!(
-            "b{}w{}ms@{:.0}rps",
-            policy.max_batch,
-            policy.max_wait.as_millis(),
-            offered
-        ),
-        policy,
-        shards: 1,
-        clients: conns,
-        offered_rps: Some(offered),
-        requests: (conns * per_conn) as u64,
-        outcomes,
-        wall_s,
-        snap,
-    })
-}
-
-/// Overload: a deliberately tiny queue hammered by unpaced clients — the
-/// engine must shed with typed `Overloaded` errors.
-fn overload(spec: ModelSpec, artifact: &Path, seed: u64) -> CspResult<Cell> {
-    let policy = BatchPolicy {
-        max_batch: 1,
-        max_wait: Duration::ZERO,
-        queue_cap: 2,
-    };
-    let engine = Engine::start(registry_from_disk(spec, artifact)?, policy, 1)?;
-    let samples = request_pool(spec, seed);
-    let clients = 16;
-    let per_client = 25;
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|t| {
-            let client = engine.client();
-            let samples = samples.clone();
-            std::thread::spawn(move || {
-                let mut outcomes = Outcomes::default();
-                for i in 0..per_client {
-                    let x = &samples[(t + i) % samples.len()];
-                    outcomes.record(&client.infer(MODEL, x, None));
-                }
-                outcomes
-            })
-        })
-        .collect();
-    let mut outcomes = Outcomes::default();
-    for h in handles {
-        outcomes.merge(h.join().unwrap_or_default());
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let snap = engine.stats(MODEL);
-    engine.shutdown()?;
-    Ok(Cell {
-        phase: "overload",
-        label: "cap2-burst".to_string(),
-        policy,
-        shards: 1,
-        clients,
-        offered_rps: None,
-        requests: (clients * per_client) as u64,
-        outcomes,
-        wall_s,
-        snap,
-    })
-}
-
-/// Deadline sweep: the batcher holds batches open far longer than the
-/// clients' budgets, so queued requests must be shed as typed `Expired`
-/// — the engine never spends a forward pass on a request nobody is
-/// waiting for. Half the requests carry no budget and must complete.
-fn deadline_sweep(
-    spec: ModelSpec,
-    artifact: &Path,
-    clients: usize,
-    per_client: usize,
-    seed: u64,
-) -> CspResult<Cell> {
-    let policy = BatchPolicy {
-        max_batch: 8,
-        max_wait: Duration::from_millis(25),
-        queue_cap: 256,
-    };
-    let budget = Duration::from_millis(1);
-    let engine = Engine::start(registry_from_disk(spec, artifact)?, policy, 1)?;
-    let samples = request_pool(spec, seed);
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|t| {
-            let client = engine.client();
-            let samples = samples.clone();
-            std::thread::spawn(move || {
-                let mut outcomes = Outcomes::default();
-                for i in 0..per_client {
-                    let x = &samples[(t + i) % samples.len()];
-                    // Alternate: budget far below the 25 ms batch hold
-                    // (expires in queue) vs no budget (completes).
-                    let b = if i % 2 == 0 { Some(budget) } else { None };
-                    outcomes.record(&client.infer(MODEL, x, b));
-                }
-                outcomes
-            })
-        })
-        .collect();
-    let mut outcomes = Outcomes::default();
-    for h in handles {
-        outcomes.merge(h.join().unwrap_or_default());
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let snap = engine.stats(MODEL);
-    engine.shutdown()?;
-    Ok(Cell {
-        phase: "deadline",
-        label: format!("hold25ms-budget{}ms", budget.as_millis()),
-        policy,
-        shards: 1,
-        clients,
-        offered_rps: None,
-        requests: (clients * per_client) as u64,
-        outcomes,
-        wall_s,
-        snap,
-    })
-}
-
-/// TCP deadline phase: the open-loop driver deliberately pushed past its
-/// deadline budget — a slow batcher (25 ms hold) against 1 ms wire
-/// budgets. Alternating requests carry no budget and must complete; the
-/// budgeted half must come back as typed `Expired` frames.
-fn tcp_deadline(
-    spec: ModelSpec,
-    artifact: &Path,
-    conns: usize,
-    per_conn: usize,
-    seed: u64,
-) -> CspResult<Cell> {
-    let policy = BatchPolicy {
-        max_batch: 8,
-        max_wait: Duration::from_millis(25),
-        queue_cap: 256,
-    };
-    let budget = Duration::from_millis(1);
-    let engine = Engine::start(registry_from_disk(spec, artifact)?, policy, 1)?;
-    let server = Server::serve(engine.client(), "127.0.0.1:0")?;
-    let addr = server.addr();
-    let samples = request_pool(spec, seed);
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|t| {
-            let samples = samples.clone();
-            std::thread::spawn(move || -> Result<Outcomes, CspError> {
-                let mut tcp = TcpClient::connect(&addr)?;
-                let mut outcomes = Outcomes::default();
-                for i in 0..per_conn {
-                    let x = &samples[(t + i) % samples.len()];
-                    let b = if i % 2 == 0 { Some(budget) } else { None };
-                    outcomes.record(&tcp.infer(MODEL, x, b));
-                }
-                Ok(outcomes)
-            })
-        })
-        .collect();
-    let mut outcomes = Outcomes::default();
-    for h in handles {
-        match h.join() {
-            Ok(Ok(o)) => outcomes.merge(o),
-            _ => outcomes.transport += per_conn as u64,
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let snap = engine.stats(MODEL);
-    server.shutdown(Duration::from_secs(10))?;
-    engine.shutdown()?;
-    Ok(Cell {
-        phase: "tcp-deadline",
-        label: format!("hold25ms-budget{}ms", budget.as_millis()),
-        policy,
-        shards: 1,
-        clients: conns,
-        offered_rps: None,
-        requests: (conns * per_conn) as u64,
-        outcomes,
-        wall_s,
-        snap,
-    })
-}
-
-/// One rung of the overload sweep: `conns` persistent connections against
-/// the sharded event-loop front-end, paced to a fixed offered rate —
-/// or unpaced (`pace == None`), the saturating rung where admission
-/// control must shed.
+/// Open loop over real TCP: `conns` persistent connections against the
+/// sharded event-loop front-end, each paced to a fixed offered rate — or
+/// unpaced (`pace == None`), the saturating rung where admission control
+/// must shed. With a `budget`, every other request carries it as its
+/// deadline (the budget-free half must complete).
 #[allow(clippy::too_many_arguments)]
 fn sharded_open_loop(
     spec: ModelSpec,
@@ -431,6 +196,7 @@ fn sharded_open_loop(
     conns: usize,
     per_conn: usize,
     pace: Option<Duration>,
+    budget: Option<Duration>,
     seed: u64,
 ) -> CspResult<Cell> {
     let sharded = ShardedEngine::start(ShardPolicy {
@@ -452,7 +218,8 @@ fn sharded_open_loop(
                 let mut outcomes = Outcomes::default();
                 for i in 0..per_conn {
                     let x = &samples[(t + i) % samples.len()];
-                    outcomes.record(&tcp.infer(MODEL, x, None));
+                    let b = budget.filter(|_| i % 2 == 0);
+                    outcomes.record(&tcp.infer(MODEL, x, b));
                     if let Some(p) = pace {
                         std::thread::sleep(p);
                     }
@@ -746,14 +513,6 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
             ));
         }
     }
-    let over_shed: u64 = cells
-        .iter()
-        .filter(|c| c.phase == "overload")
-        .map(|c| c.snap.shed)
-        .sum();
-    if over_shed == 0 {
-        bad.push("overload phase shed nothing (admission control inert)".to_string());
-    }
     for c in cells.iter().filter(|c| c.phase == "execution") {
         // Every execution backend serves the benign closed loop cleanly.
         if c.outcomes.errors() > 0 {
@@ -854,27 +613,6 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
             ));
         }
     }
-    for c in cells.iter().filter(|c| c.phase == "deadline") {
-        if c.outcomes.expired == 0 || c.snap.expired == 0 {
-            bad.push(format!(
-                "deadline cell {} expired nothing (client={}, server={}) — deadline \
-                 propagation inert",
-                c.label, c.outcomes.expired, c.snap.expired
-            ));
-        }
-        if c.outcomes.ok == 0 {
-            bad.push(format!(
-                "deadline cell {} completed nothing — budget-free requests must succeed",
-                c.label
-            ));
-        }
-        if c.outcomes.transport > 0 || c.outcomes.failed > 0 {
-            bad.push(format!(
-                "deadline cell {} saw non-deadline failures (failed={}, transport={})",
-                c.label, c.outcomes.failed, c.outcomes.transport
-            ));
-        }
-    }
     bad
 }
 
@@ -916,7 +654,7 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
         }
     }
 
-    // Phase 2: open loop over real TCP.
+    // Phase 2: paced open loop over real TCP into a one-shard engine.
     let tcp_cfgs: &[(usize, usize, u64)] = if smoke {
         &[(4, 30, 1000)] // 4 conns × 30 reqs ≥ 100, 1 ms pace
     } else {
@@ -928,32 +666,30 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
             max_wait: Duration::from_millis(1),
             queue_cap: 256,
         };
-        cells.push(tcp_open_loop(
+        let pace = Duration::from_micros(pace_us);
+        let mut cell = sharded_open_loop(
             spec,
             &artifact,
             policy,
+            1,
             workers,
             conns,
             per_conn,
-            Duration::from_micros(pace_us),
+            Some(pace),
+            None,
             seed,
-        )?);
+        )?;
+        cell.phase = "tcp-open";
+        cell.label = format!(
+            "b{}w{}ms@{:.0}rps",
+            policy.max_batch,
+            policy.max_wait.as_millis(),
+            conns as f64 / pace.as_secs_f64()
+        );
+        cells.push(cell);
     }
 
-    // Phase 3: overload.
-    cells.push(overload(spec, &artifact, seed)?);
-
-    // Phase 4: deadline sweep — tight budgets against a slow batcher.
-    let (dl_clients, dl_per_client) = if smoke { (4, 10) } else { (4, 40) };
-    cells.push(deadline_sweep(
-        spec,
-        &artifact,
-        dl_clients,
-        dl_per_client,
-        seed,
-    )?);
-
-    // Phase 5: execution sweep — the same closed-loop load served by
+    // Phase 3: execution sweep — the same closed-loop load served by
     // each execution backend, from the same artifact on disk.
     let (ex_clients, ex_per_client) = if smoke { (4, 25) } else { (4, 100) };
     for execution in [Execution::Dense, Execution::Weaved, Execution::WeavedInt8] {
@@ -977,11 +713,34 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
         cells.push(cell);
     }
 
-    // Phase 6: open-loop TCP driven past its deadline budget.
+    // Phase 4: unpaced TCP driven past its deadline budget — a slow
+    // batcher (25 ms hold, 1 worker) against 1 ms budgets on every other
+    // request. The budgeted half must come back as typed `Expired`
+    // frames, never executed late; the budget-free half must complete.
     let (td_conns, td_per_conn) = if smoke { (4, 10) } else { (4, 40) };
-    cells.push(tcp_deadline(spec, &artifact, td_conns, td_per_conn, seed)?);
+    let td_policy = BatchPolicy {
+        max_batch: 8,
+        max_wait: Duration::from_millis(25),
+        queue_cap: 256,
+    };
+    let budget = Duration::from_millis(1);
+    let mut cell = sharded_open_loop(
+        spec,
+        &artifact,
+        td_policy,
+        1,
+        1,
+        td_conns,
+        td_per_conn,
+        None,
+        Some(budget),
+        seed,
+    )?;
+    cell.phase = "tcp-deadline";
+    cell.label = format!("hold25ms-budget{}ms", budget.as_millis());
+    cells.push(cell);
 
-    // Phase 7: overload sweep — the offered-rate ladder over the sharded
+    // Phase 5: overload sweep — the offered-rate ladder over the sharded
     // front-end, once at 1 shard and once at `--shards N`, each ending in
     // an unpaced saturating rung against a deliberately small queue.
     let sweep_policy = BatchPolicy {
@@ -1013,6 +772,7 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
                 conns,
                 per_conn,
                 Some(pace),
+                None,
                 seed,
             )?);
         }
@@ -1028,11 +788,12 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
             conns * 2,
             max_per_conn,
             None,
+            None,
             seed,
         )?);
     }
 
-    // Phase 8: the multi-model lineup on one sharded engine.
+    // Phase 6: the multi-model lineup on one sharded engine.
     let lu_per_conn = if smoke { 15 } else { 60 };
     cells.extend(lineup(shards, workers, lu_per_conn, seed)?);
 
@@ -1095,12 +856,13 @@ fn main() -> ExitCode {
     study.push_str(&table);
     study.push_str(
         "\nphases: closed = in-process closed loop; tcp-open = paced open loop over\n\
-         loopback TCP; overload = unpaced burst into a cap-2 queue (shed expected);\n\
-         deadline = 1 ms budgets against a 25 ms batch hold (expired expected);\n\
+         loopback TCP into a one-shard engine;\n\
          execution = closed loop per execution backend (dense / weaved / weaved-int8);\n\
-         tcp-deadline = open-loop TCP past its deadline budget (expired expected);\n\
+         tcp-deadline = unpaced TCP with 1 ms budgets on every other request against\n\
+         a 25 ms batch hold (expired expected);\n\
          overload-sweep = offered-rate ladder over the sharded event-loop front-end\n\
-         at 1 vs N engine shards, ending in an unpaced saturating rung;\n\
+         at 1 vs N engine shards, ending in an unpaced saturating rung into a\n\
+         cap-4 queue (shed expected);\n\
          lineup = every zoo family concurrently on one sharded engine, each on its\n\
          own execution axis.\n\
          outcome columns (ok/shed/expired/failed/io) are client-side typed replies.\n",

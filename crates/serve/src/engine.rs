@@ -622,18 +622,13 @@ impl Client {
 
     /// One merged telemetry snapshot — the same view
     /// [`Engine::telemetry_snapshot`] gives, reachable from any handle
-    /// (the TCP front-end answers `REQ_TELEMETRY` with this).
+    /// (the TCP front-end's `Telemetry` op serves the sharded merge of
+    /// these).
     pub fn telemetry_snapshot(&self) -> csp_telemetry::Snapshot {
         self.shared
             .stats
             .telemetry_snapshot()
             .merged(&csp_telemetry::global_snapshot())
-    }
-
-    /// Record one injected wire-level fault (the TCP front-end calls
-    /// this when its chaos session fires).
-    pub(crate) fn record_chaos(&self, name: &str) {
-        self.shared.stats.record_chaos(name);
     }
 
     /// This engine's serving counters alone, **without** the process-global

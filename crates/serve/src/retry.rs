@@ -30,8 +30,8 @@
 //! seed.
 
 use crate::batch::InferReply;
+use crate::client::TcpClient;
 use crate::protocol::HealthReport;
-use crate::server::TcpClient;
 use csp_sim::fault::splitmix64;
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::net::SocketAddr;

@@ -42,6 +42,7 @@ use crate::engine::{Client, Engine, PendingReply};
 use crate::protocol::{HealthReport, HealthState};
 use crate::registry::{LoadedModel, ModelRegistry, ModelSpec};
 use crate::stats::StatsSnapshot;
+use csp_sim::fault::splitmix64;
 use csp_telemetry::{names, Registry, Snapshot};
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::path::Path;
@@ -110,15 +111,6 @@ pub struct RollingSwap {
     /// Shards that recovered from the `.prev` generation because the
     /// primary artifact was unusable (path-loading variant only).
     pub recovered: Vec<usize>,
-}
-
-/// `splitmix64` mix — the same finalizer the retry backoff uses; enough
-/// avalanche to spread ring keys uniformly.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// FNV-1a over the model name: stable, allocation-free string hashing so

@@ -11,8 +11,8 @@
 use csp_runtime::with_threads;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, Server, ShardPolicy, ShardedEngine,
-    TcpClient,
+    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, ShardPolicy, ShardedEngine,
+    ShardedServer, TcpClient,
 };
 use csp_tensor::Tensor;
 use proptest::prelude::*;
@@ -319,21 +319,21 @@ fn weaved_execution_serves_bit_identical_over_tcp() {
             assert_eq!(own_ref, dense_ref, "weaved serial != dense serial");
         }
 
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .load_from_bytes("m", spec, &artifact)
-            .expect("load sparse model");
-        let engine = Engine::start(
-            registry,
-            BatchPolicy {
+        let engine = ShardedEngine::start(ShardPolicy {
+            shards: 1,
+            workers: 2,
+            batch: BatchPolicy {
                 max_batch: 8,
                 max_wait: Duration::from_millis(10),
                 queue_cap: 64,
             },
-            2,
-        )
+            replicas: 32,
+        })
         .expect("engine");
-        let server = Server::serve(engine.client(), "127.0.0.1:0").expect("server");
+        engine
+            .deploy("m", spec, &artifact)
+            .expect("load sparse model");
+        let server = ShardedServer::serve(engine.client(), "127.0.0.1:0", 1).expect("server");
         let addr = server.addr();
 
         // Concurrent TCP clients so the batcher actually coalesces.
@@ -365,6 +365,7 @@ fn weaved_execution_serves_bit_identical_over_tcp() {
             snap.counter("serve.execution.batches", execution.name()) > 0,
             "telemetry missing serve.execution.batches[{execution}]"
         );
+        drop(tcp);
         server
             .shutdown(Duration::from_millis(500))
             .expect("server shutdown");
