@@ -165,6 +165,15 @@ impl AccumBuffer {
     /// occupancy high-water gauge. Deltas make repeated publishes — one
     /// per pass, or one per PE lifetime — sum to the exact event totals.
     pub fn publish_telemetry(&mut self, reg: &Registry) {
+        self.publish_telemetry_scaled(reg, 1);
+    }
+
+    /// [`publish_telemetry`](Self::publish_telemetry) on behalf of
+    /// `copies` buffers that went through exactly this buffer's event
+    /// history: counter deltas are multiplied by `copies`, the occupancy
+    /// gauge is unchanged. The flat IpOS tile pass keeps one control-only
+    /// buffer per PE column and publishes it for every PE of the column.
+    pub(crate) fn publish_telemetry_scaled(&mut self, reg: &Registry, copies: u64) {
         for (b, bin) in self.bins.iter().enumerate() {
             let now = bin.events();
             let prev = self.published[b];
@@ -172,22 +181,22 @@ impl AccumBuffer {
             reg.counter_add(
                 "accel.regbin.head_accesses",
                 &label,
-                now.head_accesses - prev.head_accesses,
+                (now.head_accesses - prev.head_accesses) * copies,
             );
             reg.counter_add(
                 "accel.regbin.rotation_steps",
                 &label,
-                now.rotation_steps - prev.rotation_steps,
+                (now.rotation_steps - prev.rotation_steps) * copies,
             );
             reg.counter_add(
                 "accel.regbin.active_passes",
                 &label,
-                now.active_passes - prev.active_passes,
+                (now.active_passes - prev.active_passes) * copies,
             );
             reg.counter_add(
                 "accel.regbin.gated_passes",
                 &label,
-                now.gated_passes - prev.gated_passes,
+                (now.gated_passes - prev.gated_passes) * copies,
             );
             self.published[b] = now;
         }

@@ -11,10 +11,12 @@
 //! on cycles and MAC counts, and that the computed output equals the dense
 //! GEMM exactly when truncation is disabled.
 
+use crate::accum::AccumBuffer;
 use crate::config::CspHConfig;
 use crate::pe::Pe;
 use csp_pruning::truncation::TruncationConfig;
 use csp_sim::fault::{FaultClass, FaultPlan, FaultReport, FaultSession};
+use csp_telemetry::Registry;
 use csp_tensor::{im2col, Conv2dSpec, Result, Tensor, TensorError};
 
 /// Cycle/traffic statistics of one functional array run.
@@ -60,15 +62,98 @@ impl ArrayStats {
     }
 }
 
-/// Shared per-GEMM dimensions handed to each pixel-tile pass.
-#[derive(Clone, Copy)]
-struct TileGeometry {
-    m: usize,
+/// Shared per-GEMM dimensions, operands and telemetry sink handed to each
+/// pixel-tile pass.
+struct GemmPass<'a> {
     c_out: usize,
     p: usize,
     n_chunks: usize,
     arr_w: usize,
     group_rows: usize,
+    chunk_counts: &'a [usize],
+    /// `M × c_out` weights, row-major.
+    wd: &'a [f32],
+    /// `M × P` activations, row-major.
+    ad: &'a [f32],
+    /// Where the tile's `accel.pe.*` / `accel.regbin.*` counters go.
+    telemetry: Option<&'a Registry>,
+}
+
+impl<'a> GemmPass<'a> {
+    /// The pass of a non-windowed `weights` (`M × c_out`) by `acts`
+    /// (`M × P`) GEMM on an array configured as `config`.
+    fn new(
+        config: &CspHConfig,
+        weights: &'a Tensor,
+        chunk_counts: &'a [usize],
+        acts: &'a Tensor,
+        telemetry: Option<&'a Registry>,
+    ) -> Self {
+        let c_out = weights.dims()[1];
+        GemmPass {
+            c_out,
+            p: acts.dims()[1],
+            n_chunks: c_out.div_ceil(config.arr_w),
+            arr_w: config.arr_w,
+            // Group rows by the truncation-period feeding pattern: T MACs
+            // per chunk before a fold means T consecutive filter rows per
+            // group.
+            group_rows: config.truncation_period.max(1),
+            chunk_counts,
+            wd: weights.as_slice(),
+            ad: acts.as_slice(),
+            telemetry,
+        }
+    }
+
+    /// Columns `chunk_start..chunk_end` of chunk `n` (the last chunk may
+    /// be narrower than `arr_w`).
+    fn chunk_cols(&self, n: usize) -> (usize, usize) {
+        let chunk_start = n * self.arr_w;
+        (chunk_start, (chunk_start + self.arr_w).min(self.c_out))
+    }
+}
+
+/// Account one fed filter row of chunk `n` on a `rows`-pixel tile: one
+/// cycle, one activation load per pixel on the row's first chunk (a
+/// recycle after), `width` weight reads and `rows × width` MACs.
+fn count_feed(stats: &mut ArrayStats, n: usize, rows: usize, width: usize) {
+    stats.cycles += 1;
+    if n == 0 {
+        stats.act_loads += rows as u64;
+    } else {
+        stats.act_recycles += rows as u64;
+    }
+    stats.wgt_loads += width as u64;
+    stats.macs += (rows * width) as u64;
+}
+
+/// The operands of chunk window `w0..w1` of a windowed GEMM: the
+/// `M × width` slice of weight columns from `w0 * arr_w`, and the chunk
+/// counts rebased onto it.
+fn window_operands(
+    weights: &Tensor,
+    chunk_counts: &[usize],
+    arr_w: usize,
+    w0: usize,
+    w1: usize,
+) -> (Tensor, Vec<usize>) {
+    let (m, c_out) = (weights.dims()[0], weights.dims()[1]);
+    let col0 = w0 * arr_w;
+    let width = (w1 * arr_w).min(c_out) - col0;
+    let mut wslice = Tensor::zeros(&[m, width]);
+    for (dst, src) in wslice
+        .as_mut_slice()
+        .chunks_exact_mut(width)
+        .zip(weights.as_slice().chunks_exact(c_out))
+    {
+        dst.copy_from_slice(&src[col0..col0 + width]);
+    }
+    let counts = chunk_counts
+        .iter()
+        .map(|&c| c.saturating_sub(w0).min(w1 - w0))
+        .collect();
+    (wslice, counts)
 }
 
 /// The functional Serial Cascading array.
@@ -152,11 +237,7 @@ impl SerialCascadingArray {
         acts: &Tensor,
         mut session: Option<&mut FaultSession>,
     ) -> Result<(Tensor, ArrayStats)> {
-        let (arr_w, arr_h, t_period) = (
-            self.config.arr_w,
-            self.config.arr_h,
-            self.config.truncation_period,
-        );
+        let (arr_w, arr_h) = (self.config.arr_w, self.config.arr_h);
         if weights.rank() != 2 || acts.rank() != 2 || weights.dims()[0] != acts.dims()[0] {
             return Err(TensorError::IncompatibleShapes {
                 op: "serial_cascading_gemm",
@@ -187,73 +268,49 @@ impl SerialCascadingArray {
             let mut stats = ArrayStats::default();
             for w0 in (0..n_chunks).step_by(window_chunks) {
                 let w1 = (w0 + window_chunks).min(n_chunks);
-                let col0 = w0 * arr_w;
-                let col1 = (w1 * arr_w).min(c_out);
-                // Slice the weight columns and rebase the chunk counts.
-                let mut wslice = Tensor::zeros(&[m, col1 - col0]);
-                for j in 0..m {
-                    wslice.as_mut_slice()[j * (col1 - col0)..(j + 1) * (col1 - col0)]
-                        .copy_from_slice(&weights.as_slice()[j * c_out + col0..j * c_out + col1]);
-                }
-                let counts_slice: Vec<usize> = chunk_counts
-                    .iter()
-                    .map(|&c| c.saturating_sub(w0).min(w1 - w0))
-                    .collect();
+                let (wslice, counts_slice) = window_operands(weights, chunk_counts, arr_w, w0, w1);
                 let (o, s) =
                     self.run_gemm_inner(&wslice, &counts_slice, acts, session.as_deref_mut())?;
-                for col in 0..(col1 - col0) {
-                    for pix in 0..p {
-                        out.set(&[col0 + col, pix], o.get(&[col, pix])?)?;
-                    }
-                }
+                let (col0, width) = (w0 * arr_w, wslice.dims()[1]);
+                out.as_mut_slice()[col0 * p..(col0 + width) * p].copy_from_slice(o.as_slice());
                 stats.absorb(&s);
             }
             return Ok((out, stats));
         }
 
-        let wd = weights.as_slice();
-        let ad = acts.as_slice();
+        let telemetry = csp_telemetry::enabled().then(Registry::global);
         let mut out = Tensor::zeros(&[c_out, p]);
         let mut stats = ArrayStats::default();
-        // Group rows by the truncation-period feeding pattern: T MACs per
-        // chunk before a fold means T consecutive filter rows per group.
-        let group_rows = t_period.max(1);
+        let pass = GemmPass::new(&self.config, weights, chunk_counts, acts, telemetry);
 
         // Pixel tiles are independent passes: each gets fresh PEs, writes a
         // disjoint set of output pixels, and exposes its own flush stall.
-        // Fault-free runs execute them on the pool and merge results in
-        // tile order; a fault campaign is a single stateful RNG stream, so
-        // those runs stay serial.
+        // Fault-free runs execute them on the pool with the flat tile pass
+        // and merge results in tile order; a fault campaign needs per-PE
+        // state and is a single stateful RNG stream, so those runs take the
+        // per-PE pass serially.
         let tiles: Vec<std::ops::Range<usize>> = (0..p)
             .step_by(arr_h)
             .map(|s| s..(s + arr_h).min(p))
             .collect();
-        let geo = TileGeometry {
-            m,
-            c_out,
-            p,
-            n_chunks,
-            arr_w,
-            group_rows,
-        };
         let shards: Vec<(Vec<f32>, ArrayStats)> = match session {
             Some(s) => {
                 let mut acc = Vec::with_capacity(tiles.len());
                 for t in &tiles {
-                    acc.push(self.run_tile(t.clone(), geo, chunk_counts, wd, ad, Some(s)));
+                    acc.push(self.run_tile(t.clone(), &pass, Some(s)));
                 }
                 acc
             }
             None => csp_runtime::Pool::current().map_collect(tiles.len(), |ti| {
-                self.run_tile(tiles[ti].clone(), geo, chunk_counts, wd, ad, None)
+                self.run_tile_flat(tiles[ti].clone(), &pass)
             }),
         };
+        let od = out.as_mut_slice();
         for (tile, (tile_out, tstats)) in tiles.iter().zip(shards) {
-            for (pi, pixel) in tile.clone().enumerate() {
-                for col in 0..c_out {
-                    let v = tile_out[pi * c_out + col];
+            for (pixel, row) in tile.clone().zip(tile_out.chunks_exact(c_out)) {
+                for (col, &v) in row.iter().enumerate() {
                     if v != 0.0 {
-                        out.set(&[col, pixel], v)?;
+                        od[col * p + pixel] = v;
                     }
                 }
             }
@@ -262,132 +319,236 @@ impl SerialCascadingArray {
         stats.cycles += stats.flush_stalls;
         // Windowed runs (the recursion above) publish per window; this
         // branch is the sole publish point for a non-windowed pass.
-        if csp_telemetry::enabled() {
-            stats.publish_telemetry(csp_telemetry::Registry::global());
+        if let Some(reg) = telemetry {
+            stats.publish_telemetry(reg);
         }
         Ok((out, stats))
     }
 
-    /// One pixel-tile pass of [`run_gemm_inner`](Self::run_gemm_inner):
-    /// feeds every surviving chunk of every filter row through a fresh PE
-    /// grid and returns the dense `tile.len() × c_out` output block (row
-    /// `pi` = pixel `tile.start + pi`) plus this pass's statistics (with
-    /// the pass flush stall already in `flush_stalls`, not in `cycles`).
+    /// One pixel-tile pass of [`run_gemm_inner`](Self::run_gemm_inner)
+    /// with one [`Pe`] object per PE — the fault-campaign path (stuck-at
+    /// faults are per PE and injection is one ordered event stream) and the
+    /// reference the flat pass is tested against. Feeds every surviving
+    /// chunk of every filter row through a fresh PE grid and returns the
+    /// dense `tile.len() × c_out` output block (row `pi` = pixel
+    /// `tile.start + pi`) plus this pass's statistics (with the pass flush
+    /// stall already in `flush_stalls`, not in `cycles`).
     fn run_tile(
         &self,
         tile: std::ops::Range<usize>,
-        geo: TileGeometry,
-        chunk_counts: &[usize],
-        wd: &[f32],
-        ad: &[f32],
+        pass: &GemmPass,
         mut session: Option<&mut FaultSession>,
     ) -> (Vec<f32>, ArrayStats) {
-        let TileGeometry {
-            m,
+        let &GemmPass {
             c_out,
             p,
             n_chunks,
             arr_w,
             group_rows,
-        } = geo;
+            chunk_counts,
+            wd,
+            ad,
+            telemetry,
+        } = pass;
+        let m = chunk_counts.len();
         let mut stats = ArrayStats::default();
         let mut tile_out = vec![0.0f32; tile.len() * c_out];
-        {
-            // One PE per (pixel-in-tile, column-in-chunk).
-            let mut pes: Vec<Pe> = (0..tile.len() * arr_w)
-                .map(|_| Pe::new(self.truncation))
-                .collect();
-            // Track activation residency: a PE row's activation for filter
-            // row j is loaded on j's first chunk step and recycled after.
-            for group in (0..m).collect::<Vec<_>>().chunks(group_rows) {
-                let max_count = group.iter().map(|&j| chunk_counts[j]).max().unwrap_or(0);
-                for n in 0..max_count {
-                    let mut fed_any = false;
-                    for &j in group {
-                        let count = chunk_counts[j];
-                        if n >= count {
-                            continue; // early stop for this row
-                        }
-                        fed_any = true;
-                        stats.cycles += 1;
-                        // Activation load on first chunk, recycle after.
-                        if n == 0 {
-                            stats.act_loads += tile.len() as u64;
-                        } else {
-                            stats.act_recycles += tile.len() as u64;
-                        }
-                        let chunk_start = n * arr_w;
-                        let chunk_end = (chunk_start + arr_w).min(c_out);
-                        stats.wgt_loads += (chunk_end - chunk_start) as u64;
-                        // One weight-GLB vulnerable event per GLB read
-                        // (the read is shared by the tile's pixel rows).
-                        let wgt_override: Option<Vec<f32>> = session.as_deref_mut().map(|s| {
-                            (chunk_start..chunk_end)
-                                .map(|col| {
-                                    s.corrupt_f32(FaultClass::WeightGlb, wd[j * c_out + col])
-                                })
-                                .collect()
-                        });
-                        for (pi, pixel) in tile.clone().enumerate() {
-                            let a = ad[j * p + pixel];
-                            for (ci, col) in (chunk_start..chunk_end).enumerate() {
-                                let w = match &wgt_override {
-                                    Some(row) => row[ci],
-                                    None => wd[j * c_out + col],
-                                };
-                                match session.as_deref_mut() {
-                                    Some(s) => {
-                                        // Stuck-at-zero multiplier: the
-                                        // product of a stuck PE is dropped.
-                                        let w = if s.pe_is_stuck(pi * arr_w + ci) {
-                                            0.0
-                                        } else {
-                                            w
-                                        };
-                                        pes[pi * arr_w + ci].mac_with_faults(a, w, n, count, s);
-                                    }
-                                    None => pes[pi * arr_w + ci].mac(a, w, n, count),
-                                }
-                                stats.macs += 1;
-                            }
-                        }
+        // One PE per (pixel-in-tile, column-in-chunk).
+        let mut pes: Vec<Pe> = (0..tile.len() * arr_w)
+            .map(|_| Pe::new(self.truncation))
+            .collect();
+        // Track activation residency: a PE row's activation for filter
+        // row j is loaded on j's first chunk step and recycled after.
+        for g0 in (0..m).step_by(group_rows) {
+            let group = g0..(g0 + group_rows).min(m);
+            let max_count = chunk_counts[group.clone()]
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0);
+            for n in 0..max_count {
+                let mut fed_any = false;
+                for j in group.clone() {
+                    let count = chunk_counts[j];
+                    if n >= count {
+                        continue; // early stop for this row
                     }
-                    if fed_any {
-                        // RB step: fold IRs into the chunk's RegBin.
-                        for &j in group.iter().take(1) {
-                            let _ = j;
-                        }
-                        for (pi, _) in tile.clone().enumerate() {
-                            for ci in 0..arr_w {
-                                match session.as_deref_mut() {
-                                    Some(s) => pes[pi * arr_w + ci].fold_with_faults(
-                                        n,
-                                        max_count.min(62),
-                                        s,
-                                    ),
-                                    None => pes[pi * arr_w + ci].fold(n, max_count.min(62)),
+                    fed_any = true;
+                    let (chunk_start, chunk_end) = pass.chunk_cols(n);
+                    count_feed(&mut stats, n, tile.len(), chunk_end - chunk_start);
+                    // One weight-GLB vulnerable event per GLB read
+                    // (the read is shared by the tile's pixel rows).
+                    let wgt_override: Option<Vec<f32>> = session.as_deref_mut().map(|s| {
+                        (chunk_start..chunk_end)
+                            .map(|col| s.corrupt_f32(FaultClass::WeightGlb, wd[j * c_out + col]))
+                            .collect()
+                    });
+                    for (pi, pixel) in tile.clone().enumerate() {
+                        let a = ad[j * p + pixel];
+                        for (ci, col) in (chunk_start..chunk_end).enumerate() {
+                            let w = match &wgt_override {
+                                Some(row) => row[ci],
+                                None => wd[j * c_out + col],
+                            };
+                            match session.as_deref_mut() {
+                                Some(s) => {
+                                    // Stuck-at-zero multiplier: the
+                                    // product of a stuck PE is dropped.
+                                    let w = if s.pe_is_stuck(pi * arr_w + ci) {
+                                        0.0
+                                    } else {
+                                        w
+                                    };
+                                    pes[pi * arr_w + ci].mac_with_faults(a, w, n, count, s);
                                 }
+                                None => pes[pi * arr_w + ci].mac(a, w, n, count),
                             }
                         }
                     }
                 }
-            }
-            // End of pass: flush all PEs and scatter into the tile block.
-            let mut pass_stall = 0u64;
-            for pi in 0..tile.len() {
-                for ci in 0..arr_w {
-                    let (psums, fstats) = pes[pi * arr_w + ci].flush();
-                    pass_stall = pass_stall.max(fstats.stall_cycles);
-                    for (n, &v) in psums.iter().enumerate().take(n_chunks) {
-                        let col = n * arr_w + ci;
-                        if col < c_out {
-                            tile_out[pi * c_out + col] = v;
+                if fed_any {
+                    // RB step: fold IRs into the chunk's RegBin.
+                    for pe in &mut pes {
+                        match session.as_deref_mut() {
+                            Some(s) => pe.fold_with_faults(n, max_count.min(62), s),
+                            None => pe.fold(n, max_count.min(62)),
                         }
                     }
                 }
             }
-            stats.flush_stalls += pass_stall;
         }
+        // End of pass: flush all PEs and scatter into the tile block.
+        let mut pass_stall = 0u64;
+        for (pi, row) in pes.chunks_exact_mut(arr_w).enumerate() {
+            for (ci, pe) in row.iter_mut().enumerate() {
+                let (psums, fstats) = pe.drain_pass();
+                if let Some(reg) = telemetry {
+                    pe.publish_telemetry(reg);
+                }
+                pass_stall = pass_stall.max(fstats.stall_cycles);
+                for (n, &v) in psums.iter().enumerate().take(n_chunks) {
+                    let col = n * arr_w + ci;
+                    if col < c_out {
+                        tile_out[pi * c_out + col] = v;
+                    }
+                }
+            }
+        }
+        stats.flush_stalls += pass_stall;
+        (tile_out, stats)
+    }
+
+    /// The fault-free pixel-tile pass: the schedule, output bits,
+    /// statistics and telemetry of [`run_tile`](Self::run_tile) without
+    /// its `tile.len() × arr_w` [`Pe`] objects. Values live in flat arrays
+    /// — one IR per PE and, per chunk, a partial-sum plane that is that
+    /// chunk's column block of the tile output — and each fed filter row is
+    /// one AXPY per pixel over the chunk's weight columns.
+    ///
+    /// The RegBin control state (rotation FSM, touch and gating bits,
+    /// event counters, IR fold count) is value-independent and identical
+    /// down a PE column: every PE of a column folds the same chunk, with
+    /// the same row chunk count, at the same step — at the explicit RB
+    /// step and at the automatic fold every `TruncationConfig::period`
+    /// MACs. So one control-only [`AccumBuffer`] per column stands for all
+    /// of its PEs and publishes its counters `tile.len()` times over.
+    /// Columns past a partial last chunk get no MACs and do not fold.
+    fn run_tile_flat(
+        &self,
+        tile: std::ops::Range<usize>,
+        pass: &GemmPass,
+    ) -> (Vec<f32>, ArrayStats) {
+        let &GemmPass {
+            c_out,
+            p,
+            arr_w,
+            group_rows,
+            chunk_counts,
+            wd,
+            ad,
+            telemetry,
+            ..
+        } = pass;
+        let (m, rows) = (chunk_counts.len(), tile.len());
+        let period = self.truncation.map_or(usize::MAX, |t| t.period);
+        let mut stats = ArrayStats::default();
+        // PE (pi, ci) holds IR `ir[pi * arr_w + ci]` and, for chunk n, the
+        // partial sum `tile_out[pi * c_out + n * arr_w + ci]`.
+        let mut ir = vec![0.0f32; rows * arr_w];
+        let mut tile_out = vec![0.0f32; rows * c_out];
+        let mut columns: Vec<AccumBuffer> = (0..arr_w).map(|_| AccumBuffer::new()).collect();
+        // IR folds summed over columns; each stands for `rows` PE folds.
+        let mut column_folds = 0u64;
+        let mut fold = |n: usize, row_chunk_count: usize, ir: &mut [f32], out: &mut [f32]| {
+            let (chunk_start, chunk_end) = pass.chunk_cols(n);
+            let width = chunk_end - chunk_start;
+            for (irow, orow) in ir.chunks_exact_mut(arr_w).zip(out.chunks_exact_mut(c_out)) {
+                for (r, s) in irow[..width]
+                    .iter_mut()
+                    .zip(&mut orow[chunk_start..chunk_end])
+                {
+                    let new = *s + *r;
+                    *s = self.truncation.map_or(new, |t| t.truncate(new));
+                    *r = 0.0;
+                }
+            }
+            for column in &mut columns[..width] {
+                column.accumulate(n, 0.0, row_chunk_count);
+            }
+            column_folds += width as u64;
+        };
+        for g0 in (0..m).step_by(group_rows) {
+            let group = g0..(g0 + group_rows).min(m);
+            let max_count = chunk_counts[group.clone()]
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0);
+            for n in 0..max_count {
+                let (chunk_start, chunk_end) = pass.chunk_cols(n);
+                // MACs every fed column's IRs hold since their last fold.
+                let mut pending = 0usize;
+                for j in group.clone() {
+                    let count = chunk_counts[j];
+                    if n >= count {
+                        continue; // early stop for this row
+                    }
+                    count_feed(&mut stats, n, rows, chunk_end - chunk_start);
+                    let wrow = &wd[j * c_out + chunk_start..j * c_out + chunk_end];
+                    let arow = &ad[j * p + tile.start..j * p + tile.end];
+                    for (&a, irow) in arow.iter().zip(ir.chunks_exact_mut(arr_w)) {
+                        for (r, &w) in irow.iter_mut().zip(wrow) {
+                            *r += a * w;
+                        }
+                    }
+                    pending += 1;
+                    if pending >= period {
+                        fold(n, count, &mut ir, &mut tile_out);
+                        pending = 0;
+                    }
+                }
+                if pending > 0 {
+                    // RB step: fold IRs into the chunk's RegBin.
+                    fold(n, max_count.min(62), &mut ir, &mut tile_out);
+                }
+            }
+        }
+        // End of pass: close every column's pass and publish it once per
+        // PE of the column.
+        let mut pass_stall = 0u64;
+        for column in &mut columns {
+            let (_, fstats) = column.flush();
+            column.end_pass();
+            pass_stall = pass_stall.max(fstats.stall_cycles);
+            if let Some(reg) = telemetry {
+                column.publish_telemetry_scaled(reg, rows as u64);
+            }
+        }
+        if let Some(reg) = telemetry {
+            reg.counter_add("accel.pe.macs", "", stats.macs);
+            reg.counter_add("accel.pe.ir_folds", "", column_folds * rows as u64);
+        }
+        stats.flush_stalls += pass_stall;
         (tile_out, stats)
     }
 
@@ -639,6 +800,75 @@ mod tests {
         for (x, y) in got.as_slice().iter().zip(expected.as_slice()) {
             assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
+    }
+
+    /// Run every pixel tile of a GEMM — in chunk windows, as `run_gemm`
+    /// does when N exceeds the accumulation buffer — through both tile
+    /// passes and assert identical output bits, statistics and
+    /// `accel.pe.*` / `accel.regbin.*` telemetry.
+    fn assert_tile_paths_agree(
+        arr: &SerialCascadingArray,
+        w: &Tensor,
+        counts: &[usize],
+        a: &Tensor,
+    ) {
+        let cfg = arr.config;
+        let p = a.dims()[1];
+        let n_chunks = w.dims()[1].div_ceil(cfg.arr_w);
+        let window = cfg.accum_entries();
+        for w0 in (0..n_chunks).step_by(window) {
+            let w1 = (w0 + window).min(n_chunks);
+            let (ws, cs) = window_operands(w, counts, cfg.arr_w, w0, w1);
+            let (per_pe_reg, flat_reg) = (Registry::new(), Registry::new());
+            let per_pe = GemmPass::new(&cfg, &ws, &cs, a, Some(&per_pe_reg));
+            let flat = GemmPass::new(&cfg, &ws, &cs, a, Some(&flat_reg));
+            let mut macs = 0;
+            for s in (0..p).step_by(cfg.arr_h) {
+                let tile = s..(s + cfg.arr_h).min(p);
+                let (want, want_stats) = arr.run_tile(tile.clone(), &per_pe, None);
+                let (got, got_stats) = arr.run_tile_flat(tile.clone(), &flat);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "window {w0} tile {tile:?}");
+                assert_eq!(got_stats, want_stats, "window {w0} tile {tile:?}");
+                macs += want_stats.macs;
+            }
+            let (want, got) = (per_pe_reg.snapshot(), flat_reg.snapshot());
+            assert_eq!(got.entries, want.entries, "window {w0}");
+            assert_eq!(want.counter("accel.pe.macs", ""), macs);
+        }
+    }
+
+    #[test]
+    fn flat_tile_pass_matches_per_pe_pass() {
+        // arr_w = 4 does not divide c_out = 10 (last chunk 2 wide); arr_h =
+        // 3 does not divide P = 8; the row group 4..8 has no chunk at all.
+        let (m, c_out, p) = (11usize, 10usize, 8usize);
+        let w = Tensor::from_fn(&[m, c_out], |i| ((i as f32) * 0.61).sin());
+        let a = Tensor::from_fn(&[m, p], |i| ((i as f32) * 0.37).cos());
+        let counts = [3usize, 1, 2, 3, 0, 0, 0, 0, 2, 3, 1];
+        let cfg = small_config(4, 3, 4);
+        assert_tile_paths_agree(&SerialCascadingArray::new(cfg, None), &w, &counts, &a);
+        // Automatic folds every `period` MACs: below, at and above the
+        // configured truncation period of 4 rows.
+        for period in [1, 3, 4, 5, 9] {
+            let t = TruncationConfig::new(period, 8, 0.02).unwrap();
+            let arr = SerialCascadingArray::new(cfg, Some(t));
+            assert_tile_paths_agree(&arr, &w, &counts, &a);
+        }
+    }
+
+    #[test]
+    fn flat_tile_pass_matches_per_pe_pass_in_chunk_windows() {
+        // 64 chunks > 62 → two windows; c_out = 127 leaves the last chunk
+        // one filter wide.
+        let (m, c_out, p) = (5usize, 127usize, 5usize);
+        let w = Tensor::from_fn(&[m, c_out], |i| ((i as f32) * 0.11).sin());
+        let a = Tensor::from_fn(&[m, p], |i| ((i as f32) * 0.37).cos());
+        let counts = [64usize, 0, 63, 61, 5];
+        let cfg = small_config(2, 2, 2);
+        assert_tile_paths_agree(&SerialCascadingArray::new(cfg, None), &w, &counts, &a);
+        let t = TruncationConfig::new(1, 8, 0.02).unwrap();
+        assert_tile_paths_agree(&SerialCascadingArray::new(cfg, Some(t)), &w, &counts, &a);
     }
 
     #[test]

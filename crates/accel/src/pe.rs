@@ -122,11 +122,18 @@ impl Pe {
     /// chunk-ordered partial sums and flush stats, and closes the pass for
     /// clock-gating statistics.
     pub fn flush(&mut self) -> (Vec<f32>, FlushStats) {
-        let out = self.accum.flush();
-        self.accum.end_pass();
+        let out = self.drain_pass();
         if csp_telemetry::enabled() {
             self.publish_telemetry(csp_telemetry::Registry::global());
         }
+        out
+    }
+
+    /// [`flush`](Self::flush) without the telemetry publish, for callers
+    /// that choose the registry themselves.
+    pub(crate) fn drain_pass(&mut self) -> (Vec<f32>, FlushStats) {
+        let out = self.accum.flush();
+        self.accum.end_pass();
         out
     }
 
