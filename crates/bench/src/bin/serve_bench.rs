@@ -1,61 +1,49 @@
-//! serve_bench — load generator for the `csp-serve` batched inference
-//! engine.
+//! serve_bench — the serving tier's gate driver.
 //!
 //! Usage: `serve_bench [--smoke] [--json] [--threads N] [--out PATH]
 //! [--seed N] [--shards N]`
 //!
-//! Six phases:
+//! It publishes no performance numbers: perfbench's `serve-lineup`
+//! workload measures serving latency and capacity from raw samples, with
+//! bit-identity and ledger checks. Every phase here drives loopback TCP
+//! through the `ShardedServer` event loop into a `ShardedEngine` and
+//! gates on the typed outcomes:
 //!
-//! 1. **Closed loop, in-process** — sweep batch policy × concurrent
-//!    clients; each client issues its next request the moment the
-//!    previous one completes, so throughput is bounded by service time.
-//! 2. **Open loop, real TCP** — a one-shard engine behind the
-//!    `ShardedServer` event loop on an ephemeral loopback port; paced
-//!    connections offer a fixed load regardless of completions.
-//! 3. **Execution sweep** — the same closed-loop load served dense, weaved
-//!    (f32 early-stop from the compressed layout), and weaved-int8, so
-//!    `BENCH_serve.json` carries measured rows per execution backend.
-//! 4. **TCP deadline** — unpaced TCP pushed past its deadline budget: a
-//!    slow batcher (long `max_wait`) fed wire requests whose budgets are
-//!    far below the batch hold time must answer them as typed `Expired`
-//!    over the socket, never executing them late.
-//! 5. **Overload sweep** — an open-loop offered-rate ladder over the
-//!    sharded event-loop front-end, run once at 1 engine shard and once
-//!    at `--shards N` (default 2), ending in an unpaced saturating rung
-//!    into a small queue where admission control must shed. Maps the
-//!    latency/throughput/shed frontier and pins the request accounting
-//!    closed at every rung.
-//! 6. **Lineup** — every model-zoo family deployed concurrently on one
-//!    sharded engine, each family on its own execution axis (dense /
-//!    weaved / weaved-int8), all served at once over the same sockets.
+//! 1. **tcp-open** — paced low load into a one-shard engine: at least
+//!    100 requests complete, none is shed or expired.
+//! 2. **execution** — the same artifact served dense, weaved (f32
+//!    early-stop from the compressed layout) and weaved-int8 by a
+//!    one-shard engine: each axis completes every request.
+//! 3. **tcp-deadline** — a slow batcher (25 ms hold, 1 worker) fed wire
+//!    requests with 1 ms budgets on every other request: the budgeted
+//!    half comes back as typed `Expired` on both the client and the
+//!    server side, never executed late; the budget-free half completes.
+//! 4. **saturate** — unpaced back-to-back requests from 16 connections
+//!    into a cap-4 queue, at 1 shard and at `--shards N` (default 2):
+//!    admission control sheds, typed, and some requests still complete.
 //!
-//! Every client-side reply is classified into a typed outcome — ok /
-//! shed (`Overloaded`) / expired (`Expired`) / failed (other engine
-//! errors) / transport (`Io`/`Corrupt` socket faults) — so the study
-//! separates load shedding from real failures.
+//! Every cell also gates on exactly one typed client outcome per request
+//! (ok / shed / expired / failed / transport), on the engine's accounting
+//! closure `admitted = completed + failed + expired`, and, when no
+//! transport fault occurred, on the client ledger matching the server's.
+//! The benign phases (tcp-open, execution) must see no client error,
+//! nonzero latency percentiles and a populated batch histogram.
 //!
-//! `--smoke` shrinks the sweep for CI but still pushes ≥ 100 requests
-//! through the real TCP path and verifies the smoke invariants (zero shed
-//! at low load, nonzero latency percentiles, populated batch histogram,
-//! nonzero shed at the saturating rung, nonzero expired in the TCP
-//! deadline phase, exactly one typed outcome per request), exiting
-//! nonzero on violation.
-//! `--json` additionally writes `results/BENCH_serve.json`; the study
-//! table always goes to stdout and `results/serve_study.txt`.
+//! `--smoke` shrinks the request counts for CI. The gate table goes to
+//! stdout and `results/serve_study.txt`; `--json` also writes
+//! `results/BENCH_serve.json`. Any violated gate exits nonzero.
 
 use csp_bench::cli::CommonCli;
-use csp_core::ModelFamily;
 use csp_io::write_with_history;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, ShardPolicy, ShardedEngine,
-    ShardedServer, StatsSnapshot, TcpClient,
+    BatchPolicy, Execution, ModelSpec, ShardPolicy, ShardedEngine, ShardedServer, StatsSnapshot,
+    TcpClient,
 };
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const MODEL: &str = "basic";
 
@@ -98,18 +86,16 @@ impl Outcomes {
     }
 }
 
-/// One measured cell of the sweep.
+/// One gated cell.
 struct Cell {
     phase: &'static str,
     label: String,
     policy: BatchPolicy,
-    /// Engine shards behind this cell (1 = the unsharded engine).
+    /// Engine shards behind this cell.
     shards: usize,
     clients: usize,
-    offered_rps: Option<f64>,
     requests: u64,
     outcomes: Outcomes,
-    wall_s: f64,
     snap: StatsSnapshot,
 }
 
@@ -124,70 +110,13 @@ fn request_pool(spec: ModelSpec, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Write the artifact crash-safely and load it back through the registry
-/// (the same path a deployment takes).
-fn registry_from_disk(spec: ModelSpec, path: &Path) -> CspResult<Arc<ModelRegistry>> {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load_from_path(MODEL, spec, path)?;
-    Ok(registry)
-}
-
-/// Closed loop: `clients` threads, each issuing `per_client` back-to-back
-/// requests in-process.
-fn closed_loop(
-    spec: ModelSpec,
-    artifact: &Path,
-    policy: BatchPolicy,
-    workers: usize,
-    clients: usize,
-    per_client: usize,
-    seed: u64,
-) -> CspResult<Cell> {
-    let engine = Engine::start(registry_from_disk(spec, artifact)?, policy, workers)?;
-    let samples = request_pool(spec, seed);
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|t| {
-            let client = engine.client();
-            let samples = samples.clone();
-            std::thread::spawn(move || {
-                let mut outcomes = Outcomes::default();
-                for i in 0..per_client {
-                    let x = &samples[(t + i) % samples.len()];
-                    outcomes.record(&client.infer(MODEL, x, None));
-                }
-                outcomes
-            })
-        })
-        .collect();
-    let mut outcomes = Outcomes::default();
-    for h in handles {
-        outcomes.merge(h.join().unwrap_or_default());
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let snap = engine.stats(MODEL);
-    engine.shutdown()?;
-    Ok(Cell {
-        phase: "closed",
-        label: format!("b{}w{}ms", policy.max_batch, policy.max_wait.as_millis()),
-        policy,
-        shards: 1,
-        clients,
-        offered_rps: None,
-        requests: (clients * per_client) as u64,
-        outcomes,
-        wall_s,
-        snap,
-    })
-}
-
 /// Open loop over real TCP: `conns` persistent connections against the
-/// sharded event-loop front-end, each paced to a fixed offered rate — or
-/// unpaced (`pace == None`), the saturating rung where admission control
-/// must shed. With a `budget`, every other request carries it as its
-/// deadline (the budget-free half must complete).
+/// sharded event-loop front-end, each paced by `pace` between requests
+/// — or unpaced (`pace == None`). With a `budget`, every other request
+/// carries it as its deadline (the budget-free half must complete).
 #[allow(clippy::too_many_arguments)]
 fn sharded_open_loop(
+    phase: &'static str,
     spec: ModelSpec,
     artifact: &Path,
     policy: BatchPolicy,
@@ -209,7 +138,6 @@ fn sharded_open_loop(
     let server = ShardedServer::serve(sharded.client(), "127.0.0.1:0", 2)?;
     let addr = server.addr();
     let samples = request_pool(spec, seed);
-    let start = Instant::now();
     let handles: Vec<_> = (0..conns)
         .map(|t| {
             let samples = samples.clone();
@@ -235,128 +163,27 @@ fn sharded_open_loop(
             _ => outcomes.transport += per_conn as u64,
         }
     }
-    let wall_s = start.elapsed().as_secs_f64();
     let snap = sharded.stats(MODEL);
     server.shutdown(Duration::from_secs(10))?;
     sharded.shutdown()?;
-    let offered = pace.map(|p| conns as f64 / p.as_secs_f64().max(1e-9));
     Ok(Cell {
-        phase: "overload-sweep",
-        label: match offered {
-            Some(r) => format!("s{shards}@{r:.0}rps"),
-            None => format!("s{shards}@max"),
-        },
+        phase,
+        label: format!("s{shards}-{}", spec.execution.name()),
         policy,
         shards,
         clients: conns,
-        offered_rps: offered,
         requests: (conns * per_conn) as u64,
         outcomes,
-        wall_s,
         snap,
     })
 }
 
-/// The multi-model lineup, one family per execution axis.
-fn lineup_roster() -> [(ModelFamily, Execution); 5] {
-    [
-        (ModelFamily::Basic, Execution::Dense),
-        (ModelFamily::AlexNet, Execution::Weaved),
-        (ModelFamily::Vgg, Execution::WeavedInt8),
-        (ModelFamily::ResNet, Execution::Weaved),
-        (ModelFamily::Inception, Execution::WeavedInt8),
-    ]
-}
-
-/// Lineup phase: every zoo family deployed on **one** sharded engine,
-/// each on its own execution axis, all served concurrently over the same
-/// event-loop front-end. One cell per model, measured while the other
-/// four are under load.
-fn lineup(shards: usize, workers: usize, per_conn: usize, seed: u64) -> CspResult<Vec<Cell>> {
-    let policy = BatchPolicy {
-        max_batch: 8,
-        max_wait: Duration::from_millis(1),
-        queue_cap: 256,
-    };
-    let sharded = ShardedEngine::start(ShardPolicy {
-        shards,
-        workers,
-        batch: policy,
-        replicas: 32,
-    })?;
-    let roster = lineup_roster();
-    for (family, execution) in roster {
-        let spec = ModelSpec {
-            family,
-            execution,
-            ..ModelSpec::default()
-        };
-        sharded.deploy(family.name(), spec, &prune_to_artifact(spec, 0.8))?;
-    }
-    let server = ShardedServer::serve(sharded.client(), "127.0.0.1:0", 2)?;
-    let addr = server.addr();
-
-    // Two connections per family, all live at once, so every model is
-    // measured while the other four are being served.
-    let start = Instant::now();
-    let conns_per_model = 2usize;
-    let handles: Vec<_> = roster
-        .iter()
-        .flat_map(|&(family, execution)| {
-            (0..conns_per_model).map(move |t| {
-                let spec = ModelSpec {
-                    family,
-                    execution,
-                    ..ModelSpec::default()
-                };
-                let samples = request_pool(spec, seed);
-                std::thread::spawn(move || -> Result<Outcomes, CspError> {
-                    let mut tcp = TcpClient::connect(&addr)?;
-                    let mut outcomes = Outcomes::default();
-                    for i in 0..per_conn {
-                        let x = &samples[(t + i) % samples.len()];
-                        outcomes.record(&tcp.infer(family.name(), x, None));
-                    }
-                    Ok(outcomes)
-                })
-            })
-        })
-        .collect();
-    let mut per_model = vec![Outcomes::default(); roster.len()];
-    for (j, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(Ok(o)) => per_model[j / conns_per_model].merge(o),
-            _ => per_model[j / conns_per_model].transport += per_conn as u64,
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let cells = roster
-        .iter()
-        .zip(per_model)
-        .map(|(&(family, execution), outcomes)| Cell {
-            phase: "lineup",
-            label: format!("{}-{}", family.name(), execution.name()),
-            policy,
-            shards,
-            clients: conns_per_model,
-            offered_rps: None,
-            requests: (conns_per_model * per_conn) as u64,
-            outcomes,
-            wall_s,
-            snap: sharded.stats(family.name()),
-        })
-        .collect();
-    server.shutdown(Duration::from_secs(10))?;
-    sharded.shutdown()?;
-    Ok(cells)
-}
-
-fn study_table(cells: &[Cell]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{:<10} {:<20} {:>4} {:>8} {:>9} {:>6} {:>7} {:>6} {:>5} {:>8} {:>9} {:>9} {:>7}\n",
+fn gate_table(cells: &[Cell]) -> String {
+    let mut s = format!(
+        "{:<12} {:<24} {:>6} {:>4} {:>8} {:>8} {:>6} {:>7} {:>6} {:>5} {:>8} {:>9}\n",
         "phase",
         "cell",
+        "shards",
         "cli",
         "requests",
         "ok",
@@ -364,16 +191,15 @@ fn study_table(cells: &[Cell]) -> String {
         "expired",
         "failed",
         "io",
-        "qps",
-        "p50(us)",
-        "p99(us)",
-        "batch"
-    ));
+        "admitted",
+        "completed"
+    );
     for c in cells {
         s.push_str(&format!(
-            "{:<10} {:<20} {:>4} {:>8} {:>9} {:>6} {:>7} {:>6} {:>5} {:>8.0} {:>9} {:>9} {:>7.2}\n",
+            "{:<12} {:<24} {:>6} {:>4} {:>8} {:>8} {:>6} {:>7} {:>6} {:>5} {:>8} {:>9}\n",
             c.phase,
             c.label,
+            c.shards,
             c.clients,
             c.requests,
             c.outcomes.ok,
@@ -381,60 +207,47 @@ fn study_table(cells: &[Cell]) -> String {
             c.outcomes.expired,
             c.outcomes.failed,
             c.outcomes.transport,
-            c.snap.qps,
-            c.snap.p50_us,
-            c.snap.p99_us,
-            c.snap.mean_batch(),
+            c.snap.admitted,
+            c.snap.completed,
         ));
     }
     s
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(path: &str, cells: &[Cell], workers: usize, shards: usize, smoke: bool) {
+fn write_json(path: &str, cells: &[Cell], violations: &[String], workers: usize, smoke: bool) {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut body = String::from("{\n");
-    body.push_str("  \"schema\": \"csp-bench/serve/v3\",\n");
+    body.push_str("  \"schema\": \"csp-bench/serve/v4\",\n");
     body.push_str(&format!("  \"smoke\": {smoke},\n"));
     body.push_str(&format!("  \"host_threads\": {host},\n"));
     body.push_str(&format!("  \"workers\": {workers},\n"));
-    body.push_str(&format!("  \"shards\": {shards},\n"));
-    body.push_str(&format!("  \"model\": \"{}\",\n", json_escape(MODEL)));
+    body.push_str(&format!("  \"model\": \"{MODEL}\",\n"));
+    body.push_str(&format!("  \"pass\": {},\n", violations.is_empty()));
+    let listed: Vec<String> = violations
+        .iter()
+        .map(|v| format!("\"{}\"", escape(v)))
+        .collect();
+    body.push_str(&format!("  \"violations\": [{}],\n", listed.join(", ")));
     body.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let hist = c
-            .snap
-            .batch_hist
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         body.push_str(&format!(
             "    {{\"phase\": \"{}\", \"cell\": \"{}\", \"shards\": {}, \"max_batch\": {}, \
-             \"max_wait_us\": {}, \"queue_cap\": {}, \"clients\": {}, \
-             \"offered_rps\": {}, \"requests\": {}, \"completed\": {}, \
-             \"failed\": {}, \"shed\": {}, \"expired\": {}, \
-             \"client_ok\": {}, \"client_shed\": {}, \"client_expired\": {}, \
-             \"client_failed\": {}, \"client_transport\": {}, \"client_errors\": {}, \
-             \"wall_s\": {:.4}, \"qps\": {:.2}, \"p50_us\": {}, \"p95_us\": {}, \
-             \"p99_us\": {}, \"max_us\": {}, \"mean_batch\": {:.3}, \
-             \"batch_hist\": [{}]}}{}\n",
+             \"max_wait_us\": {}, \"queue_cap\": {}, \"clients\": {}, \"requests\": {}, \
+             \"admitted\": {}, \"completed\": {}, \"failed\": {}, \"shed\": {}, \
+             \"expired\": {}, \"client_ok\": {}, \"client_shed\": {}, \
+             \"client_expired\": {}, \"client_failed\": {}, \"client_transport\": {}}}{}\n",
             c.phase,
-            json_escape(&c.label),
+            escape(&c.label),
             c.shards,
             c.policy.max_batch,
             c.policy.max_wait.as_micros(),
             c.policy.queue_cap,
             c.clients,
-            c.offered_rps
-                .map(|r| format!("{r:.1}"))
-                .unwrap_or_else(|| "null".to_string()),
             c.requests,
+            c.snap.admitted,
             c.snap.completed,
             c.snap.failed,
             c.snap.shed,
@@ -444,19 +257,14 @@ fn write_json(path: &str, cells: &[Cell], workers: usize, shards: usize, smoke: 
             c.outcomes.expired,
             c.outcomes.failed,
             c.outcomes.transport,
-            c.outcomes.errors(),
-            c.wall_s,
-            c.snap.qps,
-            c.snap.p50_us,
-            c.snap.p95_us,
-            c.snap.p99_us,
-            c.snap.max_us,
-            c.snap.mean_batch(),
-            hist,
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
     body.push_str("  ]\n}\n");
+    write_file(path, &body);
+}
+
+fn write_file(path: &str, body: &str) {
     if let Some(dir) = Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -466,7 +274,7 @@ fn write_json(path: &str, cells: &[Cell], workers: usize, shards: usize, smoke: 
     }
 }
 
-/// The smoke invariants the CI gate checks. Returns violation messages.
+/// Every gate, over every cell. Returns violation messages.
 fn check_invariants(cells: &[Cell]) -> Vec<String> {
     let mut bad = Vec::new();
     let tcp: Vec<&Cell> = cells.iter().filter(|c| c.phase == "tcp-open").collect();
@@ -481,54 +289,66 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
         bad.push(format!("tcp phase shed {tcp_shed} requests at low load"));
     }
     for c in cells {
-        // Accounting: every issued request landed in exactly one typed
-        // outcome bucket — nothing was lost silently.
+        let name = format!("{} cell {}", c.phase, c.label);
+        // Every issued request landed in exactly one typed outcome
+        // bucket — nothing was lost silently.
         if c.outcomes.total() != c.requests {
             bad.push(format!(
-                "cell {} lost requests: {} issued but {} typed outcomes",
-                c.label,
+                "{name} lost requests: {} issued but {} typed outcomes",
                 c.requests,
                 c.outcomes.total()
             ));
         }
+        // Engine-side accounting closure: everything admitted was
+        // answered one way, nothing vanished.
+        let answered = c.snap.completed + c.snap.failed + c.snap.expired;
+        if c.snap.admitted != answered {
+            bad.push(format!(
+                "{name} leaks requests: admitted {} != completed {} + failed {} + expired {}",
+                c.snap.admitted, c.snap.completed, c.snap.failed, c.snap.expired
+            ));
+        }
+        // With no transport faults, the client-side ledger must agree
+        // with the server's: replies from admitted requests on one side,
+        // typed sheds on the other.
+        if c.outcomes.transport == 0 {
+            let replied = c.outcomes.ok + c.outcomes.failed + c.outcomes.expired;
+            if replied != c.snap.admitted || c.outcomes.shed != c.snap.shed {
+                bad.push(format!(
+                    "{name} ledger mismatch: client saw {replied} replies + {} sheds, \
+                     server admitted {} and shed {}",
+                    c.outcomes.shed, c.snap.admitted, c.snap.shed
+                ));
+            }
+        }
     }
     for c in cells
         .iter()
-        .filter(|c| c.phase == "closed" || c.phase == "tcp-open")
+        .filter(|c| c.phase == "tcp-open" || c.phase == "execution")
     {
-        if c.snap.completed > 0 && (c.snap.p50_us == 0 || c.snap.p99_us == 0) {
-            bad.push(format!(
-                "cell {} has zero latency percentiles (p50={}, p99={})",
-                c.label, c.snap.p50_us, c.snap.p99_us
-            ));
-        }
-        if c.snap.completed > 0 && c.snap.batch_hist.iter().sum::<u64>() == 0 {
-            bad.push(format!("cell {} has an empty batch histogram", c.label));
-        }
+        let name = format!("{} cell {}", c.phase, c.label);
         if c.outcomes.errors() > 0 {
             bad.push(format!(
-                "cell {} saw {} client-side errors at benign load",
-                c.label,
-                c.outcomes.errors()
-            ));
-        }
-    }
-    for c in cells.iter().filter(|c| c.phase == "execution") {
-        // Every execution backend serves the benign closed loop cleanly.
-        if c.outcomes.errors() > 0 {
-            bad.push(format!(
-                "execution cell {} saw {} client-side errors at benign load",
-                c.label,
+                "{name} saw {} client-side errors at benign load",
                 c.outcomes.errors()
             ));
         }
         if c.snap.completed == 0 {
-            bad.push(format!("execution cell {} completed nothing", c.label));
+            bad.push(format!("{name} completed nothing"));
+        } else {
+            if c.snap.p50_us == 0 || c.snap.p99_us == 0 {
+                bad.push(format!(
+                    "{name} has zero latency percentiles (p50={}, p99={})",
+                    c.snap.p50_us, c.snap.p99_us
+                ));
+            }
+            if c.snap.batch_hist.iter().sum::<u64>() == 0 {
+                bad.push(format!("{name} has an empty batch histogram"));
+            }
         }
     }
     for c in cells.iter().filter(|c| c.phase == "tcp-deadline") {
-        // The wire-level deadline point must actually expire requests —
-        // the open-loop phase driven past its budget.
+        // The wire-level deadline must actually expire requests.
         if c.outcomes.expired == 0 || c.snap.expired == 0 {
             bad.push(format!(
                 "tcp-deadline cell {} expired nothing (client={}, server={}) — wire \
@@ -549,67 +369,18 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
             ));
         }
     }
-    for c in cells.iter().filter(|c| c.phase == "overload-sweep") {
-        // Engine-side accounting closure at every rung of the frontier:
-        // everything admitted was answered one way, nothing vanished.
-        if c.snap.admitted != c.snap.completed + c.snap.failed + c.snap.expired {
-            bad.push(format!(
-                "overload-sweep cell {} leaks requests: admitted {} != \
-                 completed {} + failed {} + expired {}",
-                c.label, c.snap.admitted, c.snap.completed, c.snap.failed, c.snap.expired
-            ));
-        }
-        // With no transport faults, the client-side ledger must agree
-        // with the server's: replies from admitted requests on one side,
-        // typed sheds on the other.
-        if c.outcomes.transport == 0 {
-            let replied = c.outcomes.ok + c.outcomes.failed + c.outcomes.expired;
-            if replied != c.snap.admitted || c.outcomes.shed != c.snap.shed {
-                bad.push(format!(
-                    "overload-sweep cell {} ledger mismatch: client saw \
-                     {replied} replies + {} sheds, server admitted {} and shed {}",
-                    c.label, c.outcomes.shed, c.snap.admitted, c.snap.shed
-                ));
-            }
-        }
-    }
     // The saturating rung must actually saturate: typed shed, no crash.
-    for c in cells
-        .iter()
-        .filter(|c| c.phase == "overload-sweep" && c.offered_rps.is_none())
-    {
+    for c in cells.iter().filter(|c| c.phase == "saturate") {
         if c.snap.shed == 0 {
             bad.push(format!(
-                "overload-sweep cell {} shed nothing unpaced (admission control inert)",
+                "saturate cell {} shed nothing unpaced (admission control inert)",
                 c.label
             ));
         }
         if c.outcomes.ok == 0 {
             bad.push(format!(
-                "overload-sweep cell {} completed nothing under saturation",
+                "saturate cell {} completed nothing under saturation",
                 c.label
-            ));
-        }
-    }
-    for c in cells.iter().filter(|c| c.phase == "lineup") {
-        // Every zoo family in the lineup is actually served, cleanly,
-        // while the other four are under load.
-        if c.snap.completed == 0 {
-            bad.push(format!("lineup cell {} completed nothing", c.label));
-        }
-        if c.outcomes.errors() > 0 {
-            bad.push(format!(
-                "lineup cell {} saw {} client-side errors at benign load",
-                c.label,
-                c.outcomes.errors()
-            ));
-        }
-        if c.snap.admitted != c.snap.completed + c.snap.failed + c.snap.expired {
-            bad.push(format!(
-                "lineup cell {} leaks requests: admitted {} != answered {}",
-                c.label,
-                c.snap.admitted,
-                c.snap.completed + c.snap.failed + c.snap.expired
             ));
         }
     }
@@ -631,46 +402,26 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
     let artifact: PathBuf = dir.join("model.cspio");
     write_with_history(&artifact, &prune_to_artifact(spec, 0.8), None)?;
 
+    let benign = BatchPolicy {
+        max_batch: 8,
+        max_wait: Duration::from_millis(1),
+        queue_cap: 256,
+    };
     let mut cells = Vec::new();
 
-    // Phase 1: closed loop, batch policy × clients.
-    let policies: &[(usize, u64)] = if smoke {
-        &[(1, 0), (8, 2)]
-    } else {
-        &[(1, 0), (4, 1), (8, 2)]
-    };
-    let client_counts: &[usize] = if smoke { &[4] } else { &[1, 4, 16] };
-    let per_client = if smoke { 40 } else { 150 };
-    for &(max_batch, wait_ms) in policies {
-        for &clients in client_counts {
-            let policy = BatchPolicy {
-                max_batch,
-                max_wait: Duration::from_millis(wait_ms),
-                queue_cap: 256,
-            };
-            cells.push(closed_loop(
-                spec, &artifact, policy, workers, clients, per_client, seed,
-            )?);
-        }
-    }
-
-    // Phase 2: paced open loop over real TCP into a one-shard engine.
+    // Phase 1: paced open loop over real TCP into a one-shard engine.
     let tcp_cfgs: &[(usize, usize, u64)] = if smoke {
         &[(4, 30, 1000)] // 4 conns × 30 reqs ≥ 100, 1 ms pace
     } else {
         &[(2, 100, 2000), (8, 100, 500)]
     };
     for &(conns, per_conn, pace_us) in tcp_cfgs {
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_millis(1),
-            queue_cap: 256,
-        };
         let pace = Duration::from_micros(pace_us);
         let mut cell = sharded_open_loop(
+            "tcp-open",
             spec,
             &artifact,
-            policy,
+            benign,
             1,
             workers,
             conns,
@@ -679,130 +430,90 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
             None,
             seed,
         )?;
-        cell.phase = "tcp-open";
-        cell.label = format!(
-            "b{}w{}ms@{:.0}rps",
-            policy.max_batch,
-            policy.max_wait.as_millis(),
-            conns as f64 / pace.as_secs_f64()
-        );
+        cell.label = format!("{conns}conn-pace{pace_us}us");
         cells.push(cell);
     }
 
-    // Phase 3: execution sweep — the same closed-loop load served by
-    // each execution backend, from the same artifact on disk.
-    let (ex_clients, ex_per_client) = if smoke { (4, 25) } else { (4, 100) };
+    // Phase 2: every execution axis served from the same artifact by a
+    // one-shard engine. Four blocking connections never fill the queue.
+    let per_conn = if smoke { 25 } else { 100 };
     for execution in [Execution::Dense, Execution::Weaved, Execution::WeavedInt8] {
         let espec = ModelSpec { execution, ..spec };
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_millis(1),
-            queue_cap: 256,
-        };
-        let mut cell = closed_loop(
+        cells.push(sharded_open_loop(
+            "execution",
             espec,
             &artifact,
-            policy,
+            benign,
+            1,
             workers,
-            ex_clients,
-            ex_per_client,
-            seed,
-        )?;
-        cell.phase = "execution";
-        cell.label = execution.name().to_string();
-        cells.push(cell);
-    }
-
-    // Phase 4: unpaced TCP driven past its deadline budget — a slow
-    // batcher (25 ms hold, 1 worker) against 1 ms budgets on every other
-    // request. The budgeted half must come back as typed `Expired`
-    // frames, never executed late; the budget-free half must complete.
-    let (td_conns, td_per_conn) = if smoke { (4, 10) } else { (4, 40) };
-    let td_policy = BatchPolicy {
-        max_batch: 8,
-        max_wait: Duration::from_millis(25),
-        queue_cap: 256,
-    };
-    let budget = Duration::from_millis(1);
-    let mut cell = sharded_open_loop(
-        spec,
-        &artifact,
-        td_policy,
-        1,
-        1,
-        td_conns,
-        td_per_conn,
-        None,
-        Some(budget),
-        seed,
-    )?;
-    cell.phase = "tcp-deadline";
-    cell.label = format!("hold25ms-budget{}ms", budget.as_millis());
-    cells.push(cell);
-
-    // Phase 5: overload sweep — the offered-rate ladder over the sharded
-    // front-end, once at 1 shard and once at `--shards N`, each ending in
-    // an unpaced saturating rung against a deliberately small queue.
-    let sweep_policy = BatchPolicy {
-        max_batch: 4,
-        max_wait: Duration::from_millis(2),
-        queue_cap: 4,
-    };
-    let rates: &[f64] = if smoke {
-        &[200.0]
-    } else {
-        &[200.0, 500.0, 1000.0, 2000.0]
-    };
-    let conns = 8usize;
-    let cell_secs = if smoke { 0.4 } else { 1.0 };
-    let mut shard_points = vec![1usize];
-    if shards > 1 {
-        shard_points.push(shards);
-    }
-    for &engine_shards in &shard_points {
-        for &rate in rates {
-            let pace = Duration::from_secs_f64(conns as f64 / rate);
-            let per_conn = ((rate * cell_secs / conns as f64).ceil() as usize).max(5);
-            cells.push(sharded_open_loop(
-                spec,
-                &artifact,
-                sweep_policy,
-                engine_shards,
-                workers,
-                conns,
-                per_conn,
-                Some(pace),
-                None,
-                seed,
-            )?);
-        }
-        // The saturating rung: unpaced back-to-back requests from twice
-        // the connections — admission control must shed, typed.
-        let max_per_conn = if smoke { 25 } else { 100 };
-        cells.push(sharded_open_loop(
-            spec,
-            &artifact,
-            sweep_policy,
-            engine_shards,
-            workers,
-            conns * 2,
-            max_per_conn,
+            4,
+            per_conn,
             None,
             None,
             seed,
         )?);
     }
 
-    // Phase 6: the multi-model lineup on one sharded engine.
-    let lu_per_conn = if smoke { 15 } else { 60 };
-    cells.extend(lineup(shards, workers, lu_per_conn, seed)?);
+    // Phase 3: unpaced TCP driven past its deadline budget — a slow
+    // batcher (25 ms hold, 1 worker) against 1 ms budgets on every other
+    // request.
+    let td_per_conn = if smoke { 10 } else { 40 };
+    let td_policy = BatchPolicy {
+        max_wait: Duration::from_millis(25),
+        ..benign
+    };
+    let budget = Duration::from_millis(1);
+    let mut cell = sharded_open_loop(
+        "tcp-deadline",
+        spec,
+        &artifact,
+        td_policy,
+        1,
+        1,
+        4,
+        td_per_conn,
+        None,
+        Some(budget),
+        seed,
+    )?;
+    cell.label = format!("hold25ms-budget{}ms", budget.as_millis());
+    cells.push(cell);
+
+    // Phase 4: the saturating rung at 1 shard and at `--shards N` —
+    // unpaced requests from 16 connections into a deliberately small
+    // queue, where admission control must shed, typed.
+    let sat_policy = BatchPolicy {
+        max_batch: 4,
+        max_wait: Duration::from_millis(2),
+        queue_cap: 4,
+    };
+    let sat_per_conn = if smoke { 25 } else { 100 };
+    let mut shard_points = vec![1usize];
+    if shards > 1 {
+        shard_points.push(shards);
+    }
+    for engine_shards in shard_points {
+        cells.push(sharded_open_loop(
+            "saturate",
+            spec,
+            &artifact,
+            sat_policy,
+            engine_shards,
+            workers,
+            16,
+            sat_per_conn,
+            None,
+            None,
+            seed,
+        )?);
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
     Ok(cells)
 }
 
-/// Driver-specific flags: `--shards N` (engine shards for the overload
-/// sweep and lineup phases, default 2).
+/// Driver-specific flags: `--shards N` (engine shards for the second
+/// saturating rung, default 2).
 fn parse_shards(rest: &[String]) -> Result<usize, String> {
     const USAGE: &str = "serve_bench [--smoke] [--json] [--threads N] [--out PATH] [--seed N] \
                          [--telemetry] [--shards N]";
@@ -832,11 +543,10 @@ fn main() -> ExitCode {
         }
     };
 
+    let workers = cli.threads.unwrap_or(2);
     println!(
-        "serve_bench: {} sweep, {} engine workers, {} shards",
+        "serve_bench: {} gates, {workers} engine workers, {shards} shards",
         if cli.smoke { "smoke" } else { "full" },
-        cli.threads.unwrap_or(2),
-        shards
     );
     let cells = match run(&cli, shards) {
         Ok(cells) => cells,
@@ -845,59 +555,32 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let violations = check_invariants(&cells);
 
-    let table = study_table(&cells);
+    let table = gate_table(&cells);
     print!("\n{table}");
-    let study_path = "results/serve_study.txt";
-    if let Some(dir) = Path::new(study_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let mut study = String::from("serve_bench study: batched serving under load\n\n");
-    study.push_str(&table);
-    study.push_str(
-        "\nphases: closed = in-process closed loop; tcp-open = paced open loop over\n\
-         loopback TCP into a one-shard engine;\n\
-         execution = closed loop per execution backend (dense / weaved / weaved-int8);\n\
-         tcp-deadline = unpaced TCP with 1 ms budgets on every other request against\n\
-         a 25 ms batch hold (expired expected);\n\
-         overload-sweep = offered-rate ladder over the sharded event-loop front-end\n\
-         at 1 vs N engine shards, ending in an unpaced saturating rung into a\n\
-         cap-4 queue (shed expected);\n\
-         lineup = every zoo family concurrently on one sharded engine, each on its\n\
-         own execution axis.\n\
-         outcome columns (ok/shed/expired/failed/io) are client-side typed replies.\n",
+    write_file(
+        "results/serve_study.txt",
+        &format!(
+            "serve_bench gates: typed outcomes and request accounting over loopback TCP\n\n\
+             {table}\n\
+             outcome columns (ok/shed/expired/failed/io) are client-side typed replies;\n\
+             admitted/completed are the engine's counters. Serving latency and\n\
+             capacity are measured by perfbench's serve-lineup workload.\n"
+        ),
     );
-    // The frontier headline: sharded vs single-engine throughput at the
-    // saturating rung, reported honestly (measured, not gated).
-    let rung = |want: bool| {
-        cells.iter().find(|c| {
-            c.phase == "overload-sweep" && c.offered_rps.is_none() && (c.shards > 1) == want
-        })
-    };
-    if let (Some(single), Some(multi)) = (rung(false), rung(true)) {
-        study.push_str(&format!(
-            "\noverload sweep @max: single-shard {:.0} qps ({} shed) vs {}-shard {:.0} qps ({} shed)\n",
-            single.snap.qps, single.snap.shed, multi.shards, multi.snap.qps, multi.snap.shed
-        ));
-    }
-    match std::fs::write(study_path, &study) {
-        Ok(()) => println!("wrote {study_path}"),
-        Err(e) => eprintln!("failed to write {study_path}: {e}"),
-    }
-
     if cli.json {
         write_json(
             cli.out_or("results/BENCH_serve.json"),
             &cells,
-            cli.threads.unwrap_or(2),
-            shards,
+            &violations,
+            workers,
             cli.smoke,
         );
     }
 
     cli.dump_telemetry("serve");
 
-    let violations = check_invariants(&cells);
     if violations.is_empty() {
         println!("\nall serving invariants hold");
         ExitCode::SUCCESS

@@ -27,6 +27,7 @@
 //! calling thread, where the session is installed; at width N it runs on
 //! a worker, where it is not).
 
+use csp_sim::fault::splitmix64;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -194,15 +195,6 @@ impl RuntimeChaosSession {
         // 53 high bits -> uniform in [0, 1).
         ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
     }
-}
-
-/// The standard splitmix64 finalizer (public-domain constants), also used
-/// by csp-serve's retry jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 thread_local! {

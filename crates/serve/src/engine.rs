@@ -326,14 +326,10 @@ impl Engine {
         self.shared.health()
     }
 
-    /// Snapshot one model's rolling stats.
+    /// Snapshot one model's cumulative stats (see
+    /// [`StatsSnapshot::from_telemetry`]).
     pub fn stats(&self, model: &str) -> StatsSnapshot {
         self.shared.stats.snapshot(model)
-    }
-
-    /// Snapshots for every model seen so far.
-    pub fn stats_all(&self) -> Vec<StatsSnapshot> {
-        self.shared.stats.all()
     }
 
     /// One merged telemetry snapshot: this engine's serving counters plus
@@ -615,7 +611,8 @@ impl Client {
         self.shared.health()
     }
 
-    /// Snapshot one model's rolling stats.
+    /// Snapshot one model's cumulative stats (see
+    /// [`StatsSnapshot::from_telemetry`]).
     pub fn stats(&self, model: &str) -> StatsSnapshot {
         self.shared.stats.snapshot(model)
     }

@@ -20,8 +20,9 @@
 //!   nonblocking sockets, so thousands of connections share a few
 //!   event-loop threads (v1 and v2 clients alike);
 //! * [`client`] is the blocking TCP client;
-//! * [`stats`] keeps per-model rolling QPS, latency percentiles, and the
-//!   executed batch-size histogram;
+//! * [`stats`] keeps per-model counters, the latency histogram every
+//!   reported percentile is read from, and the executed batch-size
+//!   histogram;
 //! * [`retry`] is the resilient client — deterministic seeded backoff,
 //!   reconnect-and-retry, and idempotent request keys so a retry after a
 //!   lost reply never double-executes;

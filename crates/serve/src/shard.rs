@@ -193,12 +193,7 @@ impl ShardSet {
             .map(|c| c.stats_telemetry())
             .reduce(|acc, s| acc.merged(&s))
             .unwrap_or_else(|| self.metrics.snapshot());
-        let mut snap = StatsSnapshot::from_telemetry(&merged, model, self.max_batch);
-        // QPS needs wall-clock windows a snapshot cannot carry: sum the
-        // per-shard estimates (windows overlap, so this is approximate
-        // but monotone in true throughput).
-        snap.qps = self.clients.iter().map(|c| c.stats(model).qps).sum();
-        snap
+        StatsSnapshot::from_telemetry(&merged, model, self.max_batch)
     }
 
     fn health(&self) -> HealthReport {
@@ -299,9 +294,10 @@ impl ShardClient {
         self.set.health()
     }
 
-    /// One model's stats aggregated across shards: counters summed,
-    /// percentiles from the merged latency histograms (shard-count
-    /// invariant), QPS summed from the per-shard windows.
+    /// One model's stats aggregated across shards: counters summed and
+    /// percentiles from the merged latency histograms, through the same
+    /// [`StatsSnapshot::from_telemetry`] a one-shard `Engine` uses (so
+    /// shard-count invariant).
     pub fn stats(&self, model: &str) -> StatsSnapshot {
         self.set.stats(model)
     }

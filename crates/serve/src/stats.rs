@@ -1,26 +1,19 @@
-//! Per-model rolling serving statistics, rebased onto the
-//! [`csp_telemetry`] registry.
+//! Per-model serving statistics on the [`csp_telemetry`] registry.
 //!
 //! Counters (admitted / completed / failed / shed / expired / batches)
 //! and the batch-size + latency histograms live in a **private**
 //! [`Registry`] owned by the engine's `Stats` — shard-per-thread, so the
-//! request path never contends on a stats lock for counter updates, and
-//! the whole engine view can be exported as one versioned
-//! [`csp_telemetry::Snapshot`] (the TCP `Telemetry` op).
+//! request path never contends on a stats lock, and the whole engine view
+//! can be exported as one versioned [`csp_telemetry::Snapshot`] (the TCP
+//! `Telemetry` op).
 //!
-//! Exact percentile math needs the raw recent latencies, not bucketed
-//! counts, so a bounded per-model ring (plus the wall-clock QPS window)
-//! stays in a small mutex-protected side table; percentiles are computed
-//! only when a snapshot is taken.
+//! Every [`StatsSnapshot`], one engine's or a sharded engine's merge, is
+//! built by [`StatsSnapshot::from_telemetry`]: latency percentiles are
+//! nearest-rank reads of the `serve.latency_us` histogram, whose
+//! log-linear buckets ([`Histogram::log_linear_bounds`]) report each one
+//! at most 1/16 above the exact value and never below it.
 
 use csp_telemetry::{Histogram, Registry, Snapshot};
-use std::collections::HashMap;
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Capacity of the per-model latency ring (recent requests kept for
-/// percentile estimation).
-pub const LATENCY_RING: usize = 16_384;
 
 /// Metric names written by the collector — the workspace-wide constants
 /// from [`csp_telemetry::names`], so readers (benches, tests, remote
@@ -35,27 +28,6 @@ mod metric {
         SERVE_SHED as SHED, SERVE_WORKER_PANICS as WORKER_PANICS,
         SERVE_WORKER_RESTARTS as WORKER_RESTARTS,
     };
-}
-
-/// Latency-ring and QPS-window state that cannot live in the registry
-/// (exact percentiles need raw samples; QPS needs `Instant`s).
-#[derive(Debug, Default)]
-struct Local {
-    latencies_us: Vec<u64>,
-    ring_next: usize,
-    first_admit: Option<Instant>,
-    last_done: Option<Instant>,
-}
-
-impl Local {
-    fn push_latency(&mut self, us: u64) {
-        if self.latencies_us.len() < LATENCY_RING {
-            self.latencies_us.push(us);
-        } else {
-            self.latencies_us[self.ring_next] = us;
-            self.ring_next = (self.ring_next + 1) % LATENCY_RING;
-        }
-    }
 }
 
 /// An immutable snapshot of one model's serving stats.
@@ -83,23 +55,22 @@ pub struct StatsSnapshot {
     pub p95_us: u64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: u64,
-    /// Worst latency in the ring, microseconds.
+    /// Worst latency, microseconds (the upper bound of its bucket).
     pub max_us: u64,
-    /// Completed requests per second over the active window (first
-    /// admission → last completion).
-    pub qps: f64,
 }
 
 /// The `q`-quantile of a bucketed histogram: the smallest bucket upper
 /// bound whose cumulative count covers `ceil(q · total)` samples (the
 /// overflow bucket reports the last finite bound, saturated).
 ///
-/// Unlike the exact ring-based percentiles, this depends only on the
-/// bucket counts — and [`Histogram::merge`] is a commutative element-wise
-/// sum — so the quantile of a merge equals the quantile of the union of
-/// samples, however they were sharded. That property is what makes the
-/// sharded engine's reported p50/p99 **shard-count-invariant**
-/// (`tests` pin merged ≡ single-shard).
+/// This is the nearest-rank quantile of the recorded samples, rounded up
+/// to its bucket's bound: under [`Histogram::log_linear_bounds`] it lies
+/// in `[exact, exact · (1 + 1/16))` for samples up to 2^27. It depends only on the bucket counts
+/// — and [`Histogram::merge`] is a commutative element-wise sum — so the
+/// quantile of a merge equals the quantile of the union of samples,
+/// however they were sharded. That property is what makes the sharded
+/// engine's reported p50/p99 **shard-count-invariant** (`tests` pin
+/// merged ≡ single-shard).
 pub fn histogram_quantile(h: &Histogram, q: f64) -> u64 {
     let total = h.total();
     if total == 0 {
@@ -124,15 +95,15 @@ pub fn histogram_quantile(h: &Histogram, q: f64) -> u64 {
 }
 
 impl StatsSnapshot {
-    /// Rebuild a per-model snapshot from a (possibly merged) telemetry
-    /// [`Snapshot`] — the aggregation path of the sharded engine.
+    /// Build a per-model snapshot from a (possibly merged) telemetry
+    /// [`Snapshot`] — the one path behind both `Engine::stats` and
+    /// `ShardedEngine::stats`.
     ///
-    /// Counters come straight from the merged counters; latency
-    /// percentiles come from the merged `serve.latency_us` histogram via
+    /// Counters come straight from the snapshot's counters; latency
+    /// percentiles come from its `serve.latency_us` histogram via
     /// [`histogram_quantile`], so they are invariant to how the load was
-    /// split across shards (bucket resolution, not exact ranks). `qps` is
-    /// not derivable from a snapshot (no wall clock) and is left 0 for the
-    /// caller to fill.
+    /// split across shards. Throughput is not derivable from a snapshot
+    /// (no wall clock): callers divide `completed` by their own window.
     pub fn from_telemetry(reg: &Snapshot, model: &str, max_batch: usize) -> StatsSnapshot {
         let max_batch = max_batch.max(1);
         let mut batch_hist = vec![0u64; max_batch + 1];
@@ -163,7 +134,6 @@ impl StatsSnapshot {
             p95_us,
             p99_us,
             max_us,
-            qps: 0.0,
         }
     }
 
@@ -192,10 +162,9 @@ pub struct Stats {
     /// Batch-size histogram bounds `0..=max_batch` (overflow bucket =
     /// oversized batches, folded into the last legacy bucket).
     batch_bounds: Vec<u64>,
-    /// Exponential latency bounds for the exported histogram (exact
-    /// percentiles come from the ring, not these buckets).
+    /// Log-linear latency bounds, the source of every reported
+    /// percentile.
     latency_bounds: Vec<u64>,
-    local: Mutex<HashMap<String, Local>>,
 }
 
 impl Stats {
@@ -206,9 +175,7 @@ impl Stats {
             registry: Registry::new(),
             max_batch,
             batch_bounds: (0..=max_batch as u64).collect(),
-            // 1 µs … ~134 s in doubling buckets.
-            latency_bounds: Histogram::exponential_bounds(1, 28),
-            local: Mutex::new(HashMap::new()),
+            latency_bounds: Histogram::log_linear_bounds(),
         }
     }
 
@@ -224,16 +191,8 @@ impl Stats {
         self.registry.snapshot()
     }
 
-    fn with_local<R>(&self, model: &str, f: impl FnOnce(&mut Local) -> R) -> R {
-        let mut map = self.local.lock().expect("stats lock");
-        f(map.entry(model.to_string()).or_default())
-    }
-
     pub(crate) fn record_admitted(&self, model: &str) {
         self.registry.counter_add(metric::ADMITTED, model, 1);
-        self.with_local(model, |l| {
-            l.first_admit.get_or_insert_with(Instant::now);
-        });
     }
 
     pub(crate) fn record_shed(&self, model: &str) {
@@ -262,10 +221,6 @@ impl Stats {
         self.registry.counter_add(metric::COMPLETED, model, 1);
         self.registry
             .histogram_record(metric::LATENCY_US, model, &self.latency_bounds, latency_us);
-        self.with_local(model, |l| {
-            l.last_done = Some(Instant::now());
-            l.push_latency(latency_us);
-        });
     }
 
     pub(crate) fn record_failed(&self, model: &str) {
@@ -312,74 +267,7 @@ impl Stats {
 
     /// Snapshot one model's stats (zeroed snapshot for an unknown name).
     pub fn snapshot(&self, model: &str) -> StatsSnapshot {
-        let reg = self.registry.snapshot();
-        // Legacy batch histogram shape: buckets 0..=max_batch with
-        // oversized batches clamped into the last bucket.
-        let mut batch_hist = vec![0u64; self.max_batch + 1];
-        if let Some(h) = reg.histogram(metric::BATCH_SIZE, model) {
-            for (b, &c) in h.counts().iter().enumerate() {
-                batch_hist[b.min(self.max_batch)] += c;
-            }
-        }
-        let (sorted, window) = self.with_local(model, |l| {
-            let mut sorted = l.latencies_us.clone();
-            sorted.sort_unstable();
-            let window = match (l.first_admit, l.last_done) {
-                (Some(a), Some(b)) => b.duration_since(a).as_secs_f64(),
-                _ => 0.0,
-            };
-            (sorted, window)
-        });
-        let pct = |q: f64| -> u64 {
-            if sorted.is_empty() {
-                0
-            } else {
-                sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-            }
-        };
-        let completed = reg.counter(metric::COMPLETED, model);
-        StatsSnapshot {
-            model: model.to_string(),
-            admitted: reg.counter(metric::ADMITTED, model),
-            completed,
-            failed: reg.counter(metric::FAILED, model),
-            shed: reg.counter(metric::SHED, model),
-            expired: reg.counter(metric::EXPIRED, model),
-            batches: reg.counter(metric::BATCHES, model),
-            batch_hist,
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-            max_us: sorted.last().copied().unwrap_or(0),
-            qps: if window > 0.0 {
-                completed as f64 / window
-            } else {
-                0.0
-            },
-        }
-    }
-
-    /// Snapshots of every model seen so far, sorted by name.
-    pub fn all(&self) -> Vec<StatsSnapshot> {
-        let reg = self.registry.snapshot();
-        let mut names: Vec<String> = reg
-            .entries
-            .iter()
-            // Engine-wide counters (worker supervision, chaos injection,
-            // execution-backend tallies) carry a pseudo label ("engine"
-            // or the execution name), not a model name.
-            .filter(|e| {
-                e.name.starts_with("serve.")
-                    && !e.name.starts_with("serve.worker")
-                    && !e.name.starts_with("serve.chaos")
-                    && !e.name.starts_with("serve.execution")
-            })
-            .map(|e| e.label.clone())
-            .collect();
-        names.extend(self.local.lock().expect("stats lock").keys().cloned());
-        names.sort();
-        names.dedup();
-        names.iter().map(|n| self.snapshot(n)).collect()
+        StatsSnapshot::from_telemetry(&self.registry.snapshot(), model, self.max_batch)
     }
 }
 
@@ -407,24 +295,13 @@ mod tests {
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.batch_hist[4], 2);
         assert_eq!(snap.batch_hist[8], 1);
-        // round((100-1) * 0.5) = 50 → sorted[50] = 510 µs
-        assert_eq!(snap.p50_us, 510);
-        assert!(snap.p99_us >= 980 && snap.p99_us <= 1000);
-        assert_eq!(snap.max_us, 1000);
+        // Nearest rank ceil(0.5·100) = 50 → 500 µs, reported at its
+        // bucket bound 512 (step 16 in (256, 512]); rank 99 → 990 → 992
+        // (step 32 in (512, 1024]); the max 1000 → 1024.
+        assert_eq!(snap.p50_us, 512);
+        assert_eq!(snap.p99_us, 992);
+        assert_eq!(snap.max_us, 1024);
         assert!((snap.mean_batch() - (4 + 4 + 8) as f64 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_ring_is_bounded() {
-        let s = Stats::new(4);
-        for i in 0..(LATENCY_RING as u64 + 100) {
-            s.record_completed("m", i);
-        }
-        let snap = s.snapshot("m");
-        assert_eq!(snap.completed, LATENCY_RING as u64 + 100);
-        // The oldest samples were overwritten: the minimum surviving
-        // latency is at least 100.
-        assert!(snap.p50_us >= 100);
     }
 
     #[test]
@@ -432,26 +309,79 @@ mod tests {
         let s = Stats::new(4);
         let snap = s.snapshot("ghost");
         assert_eq!(snap.completed, 0);
-        assert_eq!(snap.qps, 0.0);
         assert_eq!(snap.p99_us, 0);
     }
 
     #[test]
-    fn exact_percentiles_on_fixed_1000_sample_input() {
-        // Satellite acceptance: latencies 1..=1000 µs in scrambled insert
-        // order; under `sorted[round((n-1)·q)]`, p50 = sorted[500] = 501,
-        // p95 = sorted[949] = 950, p99 = sorted[989] = 990.
+    fn snapshot_is_from_telemetry_on_fixed_1000_sample_input() {
+        // One stats path: an engine's snapshot is exactly the telemetry
+        // builder applied to its own registry. Latencies 1..=1000 µs in
+        // scrambled insert order.
         let s = Stats::new(4);
         for i in 0..1000u64 {
             let scrambled = (i * 617) % 1000 + 1; // 617 ⊥ 1000 → permutation
+            s.record_admitted("m");
             s.record_completed("m", scrambled);
         }
+        s.record_batch("m", 3);
         let snap = s.snapshot("m");
+        assert_eq!(
+            snap,
+            StatsSnapshot::from_telemetry(&s.telemetry_snapshot(), "m", 4)
+        );
         assert_eq!(snap.completed, 1000);
-        assert_eq!(snap.p50_us, 501);
-        assert_eq!(snap.p95_us, 950);
-        assert_eq!(snap.p99_us, 990);
-        assert_eq!(snap.max_us, 1000);
+        assert_eq!(snap.p50_us, 512);
+        assert_eq!(snap.p95_us, 960);
+        assert_eq!(snap.p99_us, 992);
+        assert_eq!(snap.max_us, 1024);
+    }
+
+    /// Exact nearest-rank quantile of `sorted`: `sorted[ceil(q·n) − 1]`.
+    fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+        let n = sorted.len();
+        sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
+    }
+
+    /// Record `samples` and check every reported percentile lies in
+    /// `[exact, exact · (1 + 1/16)]`.
+    fn assert_within_one_sixteenth(samples: &[u64]) {
+        let s = Stats::new(4);
+        for &v in samples {
+            s.record_completed("m", v);
+        }
+        let snap = s.snapshot("m");
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        for (q, got) in [
+            (0.50, snap.p50_us),
+            (0.95, snap.p95_us),
+            (0.99, snap.p99_us),
+            (1.0, snap.max_us),
+        ] {
+            let exact = nearest_rank(&sorted, q);
+            assert!(
+                exact <= got && 16 * got <= 17 * exact,
+                "q = {q}: reported {got} outside [{exact}, {exact}·17/16]"
+            );
+        }
+    }
+
+    #[test]
+    fn percentiles_are_within_one_sixteenth_of_exact() {
+        let n = 100_000u64;
+        // 7919 ⊥ 100 000 → a scrambled permutation of 1..=100 000.
+        let scrambled: Vec<u64> = (0..n).map(|i| (i * 7919) % n + 1).collect();
+        assert_within_one_sixteenth(&scrambled);
+        // Heavy tail: a 20–219 µs body, every 50th request 10–60 ms, and
+        // a few multi-second stalls.
+        let heavy: Vec<u64> = (0..5000u64)
+            .map(|i| match i {
+                _ if i % 1000 == 999 => 3_000_000 + i * 7_001,
+                _ if i % 50 == 49 => 10_000 + (i * 9_973) % 50_000,
+                _ => 20 + (i * 37) % 200,
+            })
+            .collect();
+        assert_within_one_sixteenth(&heavy);
     }
 
     #[test]
@@ -501,21 +431,29 @@ mod tests {
         let from_merged = StatsSnapshot::from_telemetry(&merged, "m", 8);
         let from_single = StatsSnapshot::from_telemetry(&single.telemetry_snapshot(), "m", 8);
         assert_eq!(from_merged, from_single, "merged ≡ single-shard");
-        // Pin the bucketed values for 1..=1000 under exponential bounds
-        // 1,2,4,…: rank 500 is covered at bound 512; ranks 950/990 and
-        // the max land in the 1024 bucket.
+        // Pin the bucketed values for 1..=1000 under the log-linear
+        // bounds: ranks 500 / 950 / 990 / 1000 are covered at 512 / 960 /
+        // 992 / 1024.
         assert_eq!(from_single.completed, 1000);
         assert_eq!(from_single.p50_us, 512);
-        assert_eq!(from_single.p95_us, 1024);
-        assert_eq!(from_single.p99_us, 1024);
+        assert_eq!(from_single.p95_us, 960);
+        assert_eq!(from_single.p99_us, 992);
         assert_eq!(from_single.max_us, 1024);
     }
 
     #[test]
     fn histogram_percentiles_are_shard_count_invariant() {
         // The same workload split over 1 / 2 / 4 / 8 collectors reports
-        // the same p50/p99 after merging — shard count never shows.
-        let mut reference: Option<StatsSnapshot> = None;
+        // the same p50/p99 after merging as one engine's own snapshot —
+        // shard count never shows.
+        let one = Stats::new(8);
+        for i in 0..500u64 {
+            one.record_completed("m", i * 13 + 1);
+        }
+        let want = one.snapshot("m");
+        // Nearest ranks 250 / 495 are 3238 / 6423 µs, reported at their
+        // log-linear bucket bounds (steps 128 and 256).
+        assert_eq!((want.p50_us, want.p99_us), (3328, 6656));
         for shards in [1usize, 2, 4, 8] {
             let parts: Vec<Stats> = (0..shards).map(|_| Stats::new(8)).collect();
             for i in 0..500u64 {
@@ -528,10 +466,7 @@ mod tests {
                     acc.merged(&s.telemetry_snapshot())
                 });
             let snap = StatsSnapshot::from_telemetry(&merged, "m", 8);
-            match &reference {
-                None => reference = Some(snap),
-                Some(want) => assert_eq!(&snap, want, "{shards} shards drifted"),
-            }
+            assert_eq!(snap, want, "{shards} shards drifted");
         }
     }
 
@@ -547,14 +482,5 @@ mod tests {
         assert_eq!(histogram_quantile(&h, 1.0), 40);
         h.record(1000); // overflow bucket saturates at the last bound
         assert_eq!(histogram_quantile(&h, 1.0), 40);
-    }
-
-    #[test]
-    fn all_lists_shed_only_models() {
-        let s = Stats::new(4);
-        s.record_shed("overloaded");
-        s.record_completed("ok", 10);
-        let names: Vec<String> = s.all().into_iter().map(|x| x.model).collect();
-        assert_eq!(names, vec!["ok".to_string(), "overloaded".to_string()]);
     }
 }

@@ -256,28 +256,29 @@ impl Histogram {
         }
     }
 
-    /// Linear bounds `step, 2*step, ..., n*step`.
+    /// Log-linear (HDR-style) bounds over `0..=2^27`: every integer up to
+    /// 32 is its own bucket, and each octave `(2^k, 2^(k+1)]` above that
+    /// splits into 16 equal steps of `2^(k-4)` — 385 bounds in all.
     ///
-    /// # Panics
-    ///
-    /// Panics when `step` is 0 or `n` is 0.
+    /// A sample `v ≤ 2^27` lands in a bucket whose upper bound `b`
+    /// satisfies `v ≤ b < v · (1 + 1/16)` (exactly `b == v` up to 32), so
+    /// a quantile read off the bucket bounds is never under-reported and
+    /// over-reported by less than 1/16. Samples above `2^27` fall into the
+    /// overflow bucket.
     #[must_use]
-    pub fn linear_bounds(step: u64, n: usize) -> Vec<u64> {
-        assert!(step > 0 && n > 0, "linear bounds need step > 0 and n > 0");
-        (1..=n as u64).map(|i| i * step).collect()
-    }
-
-    /// Exponential bounds `start, start*2, start*4, ...` (`n` bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `start` is 0 or `n` is 0.
-    #[must_use]
-    pub fn exponential_bounds(start: u64, n: usize) -> Vec<u64> {
-        assert!(start > 0 && n > 0, "exp bounds need start > 0 and n > 0");
-        (0..n as u32)
-            .map(|i| start.saturating_mul(1u64 << i.min(63)))
-            .collect()
+    pub fn log_linear_bounds() -> Vec<u64> {
+        /// Sub-buckets per octave; sets the 1/16 relative error.
+        const SUB: u64 = 16;
+        /// Largest finite bound (≈134 s when the unit is µs).
+        const MAX: u64 = 1 << 27;
+        let mut bounds: Vec<u64> = (0..=2 * SUB).collect();
+        let mut lo = 2 * SUB;
+        while lo < MAX {
+            let step = lo / SUB;
+            bounds.extend((1..=SUB).map(|j| lo + j * step));
+            lo *= 2;
+        }
+        bounds
     }
 
     /// Reassemble a histogram from stored bounds and bucket counts
@@ -299,11 +300,7 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
+        let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx] = self.counts[idx].saturating_add(1);
     }
 
@@ -908,6 +905,37 @@ mod tests {
         }
         assert_eq!(h.counts(), &[2, 2, 2, 2]);
         assert_eq!(h.total(), 8);
+    }
+
+    #[test]
+    fn log_linear_bounds_cover_the_range_within_one_sixteenth() {
+        let bounds = Histogram::log_linear_bounds();
+        assert_eq!(bounds.len(), 385);
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "strictly increasing"
+        );
+        assert_eq!(bounds[0], 0);
+        assert_eq!(*bounds.last().unwrap(), 1 << 27);
+        assert_eq!(&bounds[..33], &(0..=32).collect::<Vec<u64>>()[..]);
+        // Every sample's bucket bound b satisfies v ≤ b < v·(1 + 1/16),
+        // and `record`'s binary search picks the bucket a linear scan does.
+        let mut h = Histogram::new(&bounds);
+        let mut want = vec![0u64; bounds.len() + 1];
+        let probes = (0..=4096u64)
+            .chain((12..=27).flat_map(|k| [(1u64 << k) - 1, 1 << k, (1 << k) + 1]))
+            .chain((0..2000u64).map(|i| i * 67_108 + 13))
+            .chain([u64::MAX]);
+        for v in probes {
+            h.record(v);
+            let idx = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
+            want[idx] += 1;
+            if let Some(&b) = bounds.get(idx) {
+                assert!(b == v || (v < b && 16 * b < 17 * v), "v = {v}, b = {b}");
+            }
+        }
+        assert_eq!(h.counts(), &want[..]);
+        assert_eq!(h.counts()[bounds.len()], 2, "overflow above 2^27");
     }
 
     #[test]
