@@ -13,7 +13,6 @@
 
 use crate::accum::AccumBuffer;
 use crate::config::CspHConfig;
-use crate::pe::Pe;
 use csp_pruning::truncation::TruncationConfig;
 use csp_sim::fault::{FaultClass, FaultPlan, FaultReport, FaultSession};
 use csp_telemetry::Registry;
@@ -67,7 +66,6 @@ impl ArrayStats {
 struct GemmPass<'a> {
     c_out: usize,
     p: usize,
-    n_chunks: usize,
     arr_w: usize,
     group_rows: usize,
     chunk_counts: &'a [usize],
@@ -93,7 +91,6 @@ impl<'a> GemmPass<'a> {
         GemmPass {
             c_out,
             p: acts.dims()[1],
-            n_chunks: c_out.div_ceil(config.arr_w),
             arr_w: config.arr_w,
             // Group rows by the truncation-period feeding pattern: T MACs
             // per chunk before a fold means T consecutive filter rows per
@@ -285,24 +282,20 @@ impl SerialCascadingArray {
 
         // Pixel tiles are independent passes: each gets fresh PEs, writes a
         // disjoint set of output pixels, and exposes its own flush stall.
-        // Fault-free runs execute them on the pool with the flat tile pass
-        // and merge results in tile order; a fault campaign needs per-PE
-        // state and is a single stateful RNG stream, so those runs take the
-        // per-PE pass serially.
+        // Fault-free runs execute them on the pool and merge results in
+        // tile order; a fault campaign is one stateful RNG stream, so its
+        // tiles run serially in tile order.
         let tiles: Vec<std::ops::Range<usize>> = (0..p)
             .step_by(arr_h)
             .map(|s| s..(s + arr_h).min(p))
             .collect();
         let shards: Vec<(Vec<f32>, ArrayStats)> = match session {
-            Some(s) => {
-                let mut acc = Vec::with_capacity(tiles.len());
-                for t in &tiles {
-                    acc.push(self.run_tile(t.clone(), &pass, Some(s)));
-                }
-                acc
-            }
+            Some(s) => tiles
+                .iter()
+                .map(|t| self.run_tile_flat(t.clone(), &pass, Some(&mut *s)))
+                .collect(),
             None => csp_runtime::Pool::current().map_collect(tiles.len(), |ti| {
-                self.run_tile_flat(tiles[ti].clone(), &pass)
+                self.run_tile_flat(tiles[ti].clone(), &pass, None)
             }),
         };
         let od = out.as_mut_slice();
@@ -325,125 +318,15 @@ impl SerialCascadingArray {
         Ok((out, stats))
     }
 
-    /// One pixel-tile pass of [`run_gemm_inner`](Self::run_gemm_inner)
-    /// with one [`Pe`] object per PE — the fault-campaign path (stuck-at
-    /// faults are per PE and injection is one ordered event stream) and the
-    /// reference the flat pass is tested against. Feeds every surviving
-    /// chunk of every filter row through a fresh PE grid and returns the
-    /// dense `tile.len() × c_out` output block (row `pi` = pixel
+    /// One pixel-tile pass of [`run_gemm_inner`](Self::run_gemm_inner):
+    /// feeds every surviving chunk of every filter row through a fresh
+    /// `tile.len() × arr_w` PE grid and returns the dense
+    /// `tile.len() × c_out` output block (row `pi` = pixel
     /// `tile.start + pi`) plus this pass's statistics (with the pass flush
-    /// stall already in `flush_stalls`, not in `cycles`).
-    fn run_tile(
-        &self,
-        tile: std::ops::Range<usize>,
-        pass: &GemmPass,
-        mut session: Option<&mut FaultSession>,
-    ) -> (Vec<f32>, ArrayStats) {
-        let &GemmPass {
-            c_out,
-            p,
-            n_chunks,
-            arr_w,
-            group_rows,
-            chunk_counts,
-            wd,
-            ad,
-            telemetry,
-        } = pass;
-        let m = chunk_counts.len();
-        let mut stats = ArrayStats::default();
-        let mut tile_out = vec![0.0f32; tile.len() * c_out];
-        // One PE per (pixel-in-tile, column-in-chunk).
-        let mut pes: Vec<Pe> = (0..tile.len() * arr_w)
-            .map(|_| Pe::new(self.truncation))
-            .collect();
-        // Track activation residency: a PE row's activation for filter
-        // row j is loaded on j's first chunk step and recycled after.
-        for g0 in (0..m).step_by(group_rows) {
-            let group = g0..(g0 + group_rows).min(m);
-            let max_count = chunk_counts[group.clone()]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
-            for n in 0..max_count {
-                let mut fed_any = false;
-                for j in group.clone() {
-                    let count = chunk_counts[j];
-                    if n >= count {
-                        continue; // early stop for this row
-                    }
-                    fed_any = true;
-                    let (chunk_start, chunk_end) = pass.chunk_cols(n);
-                    count_feed(&mut stats, n, tile.len(), chunk_end - chunk_start);
-                    // One weight-GLB vulnerable event per GLB read
-                    // (the read is shared by the tile's pixel rows).
-                    let wgt_override: Option<Vec<f32>> = session.as_deref_mut().map(|s| {
-                        (chunk_start..chunk_end)
-                            .map(|col| s.corrupt_f32(FaultClass::WeightGlb, wd[j * c_out + col]))
-                            .collect()
-                    });
-                    for (pi, pixel) in tile.clone().enumerate() {
-                        let a = ad[j * p + pixel];
-                        for (ci, col) in (chunk_start..chunk_end).enumerate() {
-                            let w = match &wgt_override {
-                                Some(row) => row[ci],
-                                None => wd[j * c_out + col],
-                            };
-                            match session.as_deref_mut() {
-                                Some(s) => {
-                                    // Stuck-at-zero multiplier: the
-                                    // product of a stuck PE is dropped.
-                                    let w = if s.pe_is_stuck(pi * arr_w + ci) {
-                                        0.0
-                                    } else {
-                                        w
-                                    };
-                                    pes[pi * arr_w + ci].mac_with_faults(a, w, n, count, s);
-                                }
-                                None => pes[pi * arr_w + ci].mac(a, w, n, count),
-                            }
-                        }
-                    }
-                }
-                if fed_any {
-                    // RB step: fold IRs into the chunk's RegBin.
-                    for pe in &mut pes {
-                        match session.as_deref_mut() {
-                            Some(s) => pe.fold_with_faults(n, max_count.min(62), s),
-                            None => pe.fold(n, max_count.min(62)),
-                        }
-                    }
-                }
-            }
-        }
-        // End of pass: flush all PEs and scatter into the tile block.
-        let mut pass_stall = 0u64;
-        for (pi, row) in pes.chunks_exact_mut(arr_w).enumerate() {
-            for (ci, pe) in row.iter_mut().enumerate() {
-                let (psums, fstats) = pe.drain_pass();
-                if let Some(reg) = telemetry {
-                    pe.publish_telemetry(reg);
-                }
-                pass_stall = pass_stall.max(fstats.stall_cycles);
-                for (n, &v) in psums.iter().enumerate().take(n_chunks) {
-                    let col = n * arr_w + ci;
-                    if col < c_out {
-                        tile_out[pi * c_out + col] = v;
-                    }
-                }
-            }
-        }
-        stats.flush_stalls += pass_stall;
-        (tile_out, stats)
-    }
-
-    /// The fault-free pixel-tile pass: the schedule, output bits,
-    /// statistics and telemetry of [`run_tile`](Self::run_tile) without
-    /// its `tile.len() × arr_w` [`Pe`] objects. Values live in flat arrays
-    /// — one IR per PE and, per chunk, a partial-sum plane that is that
-    /// chunk's column block of the tile output — and each fed filter row is
-    /// one AXPY per pixel over the chunk's weight columns.
+    /// stall already in `flush_stalls`, not in `cycles`). Values live in
+    /// flat arrays — one IR per PE and, per chunk, a partial-sum plane
+    /// that is that chunk's column block of the tile output — and each fed
+    /// filter row is one AXPY per pixel over the chunk's weight columns.
     ///
     /// The RegBin control state (rotation FSM, touch and gating bits,
     /// event counters, IR fold count) is value-independent and identical
@@ -453,10 +336,18 @@ impl SerialCascadingArray {
     /// MACs. So one control-only [`AccumBuffer`] per column stands for all
     /// of its PEs and publishes its counters `tile.len()` times over.
     /// Columns past a partial last chunk get no MACs and do not fold.
+    ///
+    /// Under a fault campaign a fed row walks its PEs one at a time and
+    /// draws from `session` in PE-by-PE order: one weight-GLB read per
+    /// chunk column, then per PE in (pixel, column) order the stuck-MAC
+    /// query, the MAC and — when the row fills the truncation period —
+    /// that PE's fold. Every fold reads out the IR, then read-modify-writes
+    /// the stored partial sum: one vulnerable event each, in that order.
     fn run_tile_flat(
         &self,
         tile: std::ops::Range<usize>,
         pass: &GemmPass,
+        mut session: Option<&mut FaultSession>,
     ) -> (Vec<f32>, ArrayStats) {
         let &GemmPass {
             c_out,
@@ -467,7 +358,6 @@ impl SerialCascadingArray {
             wd,
             ad,
             telemetry,
-            ..
         } = pass;
         let (m, rows) = (chunk_counts.len(), tile.len());
         let period = self.truncation.map_or(usize::MAX, |t| t.period);
@@ -479,23 +369,43 @@ impl SerialCascadingArray {
         let mut columns: Vec<AccumBuffer> = (0..arr_w).map(|_| AccumBuffer::new()).collect();
         // IR folds summed over columns; each stands for `rows` PE folds.
         let mut column_folds = 0u64;
-        let mut fold = |n: usize, row_chunk_count: usize, ir: &mut [f32], out: &mut [f32]| {
+        let mut fold_control = |n: usize, row_chunk_count: usize| {
             let (chunk_start, chunk_end) = pass.chunk_cols(n);
-            let width = chunk_end - chunk_start;
-            for (irow, orow) in ir.chunks_exact_mut(arr_w).zip(out.chunks_exact_mut(c_out)) {
-                for (r, s) in irow[..width]
-                    .iter_mut()
-                    .zip(&mut orow[chunk_start..chunk_end])
-                {
-                    let new = *s + *r;
-                    *s = self.truncation.map_or(new, |t| t.truncate(new));
-                    *r = 0.0;
-                }
-            }
-            for column in &mut columns[..width] {
+            for column in &mut columns[..chunk_end - chunk_start] {
                 column.accumulate(n, 0.0, row_chunk_count);
             }
-            column_folds += width as u64;
+            column_folds += (chunk_end - chunk_start) as u64;
+        };
+        // One PE's fold under a campaign: the IR read-out, then the RegBin
+        // read-modify-write on the stored partial sum.
+        let fold_pe = |r: &mut f32, psum: &mut f32, s: &mut FaultSession| {
+            let delta = s.corrupt_f32(FaultClass::IntermediateReg, *r);
+            let new = s.regbin_access(*psum) + delta;
+            *psum = self.truncation.map_or(new, |t| t.truncate(new));
+            *r = 0.0;
+        };
+        // Fold the IRs of every PE on columns `chunk_start..chunk_end` into
+        // their partial sums, in (pixel, column) order.
+        let fold_values = |(chunk_start, chunk_end): (usize, usize),
+                           ir: &mut [f32],
+                           out: &mut [f32],
+                           mut session: Option<&mut FaultSession>| {
+            let width = chunk_end - chunk_start;
+            for (irow, orow) in ir.chunks_exact_mut(arr_w).zip(out.chunks_exact_mut(c_out)) {
+                let pes = irow[..width]
+                    .iter_mut()
+                    .zip(&mut orow[chunk_start..chunk_end]);
+                match session.as_deref_mut() {
+                    None => {
+                        for (r, s) in pes {
+                            let new = *s + *r;
+                            *s = self.truncation.map_or(new, |t| t.truncate(new));
+                            *r = 0.0;
+                        }
+                    }
+                    Some(f) => pes.for_each(|(r, psum)| fold_pe(r, psum, f)),
+                }
+            }
         };
         for g0 in (0..m).step_by(group_rows) {
             let group = g0..(g0 + group_rows).min(m);
@@ -505,7 +415,7 @@ impl SerialCascadingArray {
                 .max()
                 .unwrap_or(0);
             for n in 0..max_count {
-                let (chunk_start, chunk_end) = pass.chunk_cols(n);
+                let cols @ (chunk_start, chunk_end) = pass.chunk_cols(n);
                 // MACs every fed column's IRs hold since their last fold.
                 let mut pending = 0usize;
                 for j in group.clone() {
@@ -516,20 +426,57 @@ impl SerialCascadingArray {
                     count_feed(&mut stats, n, rows, chunk_end - chunk_start);
                     let wrow = &wd[j * c_out + chunk_start..j * c_out + chunk_end];
                     let arow = &ad[j * p + tile.start..j * p + tile.end];
-                    for (&a, irow) in arow.iter().zip(ir.chunks_exact_mut(arr_w)) {
-                        for (r, &w) in irow.iter_mut().zip(wrow) {
-                            *r += a * w;
+                    let fills_period = pending + 1 >= period;
+                    match session.as_deref_mut() {
+                        None => {
+                            for (&a, irow) in arow.iter().zip(ir.chunks_exact_mut(arr_w)) {
+                                for (r, &w) in irow.iter_mut().zip(wrow) {
+                                    *r += a * w;
+                                }
+                            }
+                            if fills_period {
+                                fold_values(cols, &mut ir, &mut tile_out, None);
+                            }
+                        }
+                        Some(s) => {
+                            // One weight-GLB event per GLB read (the read
+                            // is shared by the tile's pixel rows).
+                            let wrow: Vec<f32> = wrow
+                                .iter()
+                                .map(|&w| s.corrupt_f32(FaultClass::WeightGlb, w))
+                                .collect();
+                            let pe_rows = ir
+                                .chunks_exact_mut(arr_w)
+                                .zip(tile_out.chunks_exact_mut(c_out));
+                            for (pi, (&a, (irow, orow))) in arow.iter().zip(pe_rows).enumerate() {
+                                let pes = irow.iter_mut().zip(&mut orow[chunk_start..chunk_end]);
+                                for (ci, ((r, psum), &w)) in pes.zip(&wrow).enumerate() {
+                                    // Stuck-at-zero multiplier: the
+                                    // product of a stuck PE is dropped.
+                                    let w = if s.pe_is_stuck(pi * arr_w + ci) {
+                                        0.0
+                                    } else {
+                                        w
+                                    };
+                                    *r += a * w;
+                                    if fills_period {
+                                        fold_pe(r, psum, s);
+                                    }
+                                }
+                            }
                         }
                     }
-                    pending += 1;
-                    if pending >= period {
-                        fold(n, count, &mut ir, &mut tile_out);
+                    if fills_period {
+                        fold_control(n, count);
                         pending = 0;
+                    } else {
+                        pending += 1;
                     }
                 }
                 if pending > 0 {
                     // RB step: fold IRs into the chunk's RegBin.
-                    fold(n, max_count.min(62), &mut ir, &mut tile_out);
+                    fold_values(cols, &mut ir, &mut tile_out, session.as_deref_mut());
+                    fold_control(n, max_count.min(62));
                 }
             }
         }
@@ -600,6 +547,7 @@ impl SerialCascadingArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pe::Pe;
     use csp_pruning::{ChunkedLayout, CspMask};
     use csp_tensor::matmul_at_b;
 
@@ -802,73 +750,306 @@ mod tests {
         }
     }
 
-    /// Run every pixel tile of a GEMM — in chunk windows, as `run_gemm`
-    /// does when N exceeds the accumulation buffer — through both tile
-    /// passes and assert identical output bits, statistics and
-    /// `accel.pe.*` / `accel.regbin.*` telemetry.
+    impl SerialCascadingArray {
+        /// The oracle for `run_tile_flat`: the same pixel-tile pass with one
+        /// [`Pe`] object per PE, each MAC and fold one method call, and fault
+        /// events drawn where each PE meets them.
+        fn run_tile(
+            &self,
+            tile: std::ops::Range<usize>,
+            pass: &GemmPass,
+            mut session: Option<&mut FaultSession>,
+        ) -> (Vec<f32>, ArrayStats) {
+            let &GemmPass {
+                c_out,
+                p,
+                arr_w,
+                group_rows,
+                chunk_counts,
+                wd,
+                ad,
+                telemetry,
+            } = pass;
+            let m = chunk_counts.len();
+            let mut stats = ArrayStats::default();
+            let mut tile_out = vec![0.0f32; tile.len() * c_out];
+            // One PE per (pixel-in-tile, column-in-chunk).
+            let mut pes: Vec<Pe> = (0..tile.len() * arr_w)
+                .map(|_| Pe::new(self.truncation))
+                .collect();
+            // Track activation residency: a PE row's activation for filter
+            // row j is loaded on j's first chunk step and recycled after.
+            for g0 in (0..m).step_by(group_rows) {
+                let group = g0..(g0 + group_rows).min(m);
+                let max_count = chunk_counts[group.clone()]
+                    .iter()
+                    .copied()
+                    .max()
+                    .unwrap_or(0);
+                for n in 0..max_count {
+                    let mut fed_any = false;
+                    for j in group.clone() {
+                        let count = chunk_counts[j];
+                        if n >= count {
+                            continue; // early stop for this row
+                        }
+                        fed_any = true;
+                        let (chunk_start, chunk_end) = pass.chunk_cols(n);
+                        count_feed(&mut stats, n, tile.len(), chunk_end - chunk_start);
+                        // One weight-GLB vulnerable event per GLB read
+                        // (the read is shared by the tile's pixel rows).
+                        let wgt_override: Option<Vec<f32>> = session.as_deref_mut().map(|s| {
+                            (chunk_start..chunk_end)
+                                .map(|col| {
+                                    s.corrupt_f32(FaultClass::WeightGlb, wd[j * c_out + col])
+                                })
+                                .collect()
+                        });
+                        for (pi, pixel) in tile.clone().enumerate() {
+                            let a = ad[j * p + pixel];
+                            for (ci, col) in (chunk_start..chunk_end).enumerate() {
+                                let w = match &wgt_override {
+                                    Some(row) => row[ci],
+                                    None => wd[j * c_out + col],
+                                };
+                                match session.as_deref_mut() {
+                                    Some(s) => {
+                                        // Stuck-at-zero multiplier: the
+                                        // product of a stuck PE is dropped.
+                                        let w = if s.pe_is_stuck(pi * arr_w + ci) {
+                                            0.0
+                                        } else {
+                                            w
+                                        };
+                                        pes[pi * arr_w + ci].mac_with_faults(a, w, n, count, s);
+                                    }
+                                    None => pes[pi * arr_w + ci].mac(a, w, n, count),
+                                }
+                            }
+                        }
+                    }
+                    if fed_any {
+                        // RB step: fold IRs into the chunk's RegBin.
+                        for pe in &mut pes {
+                            match session.as_deref_mut() {
+                                Some(s) => pe.fold_with_faults(n, max_count.min(62), s),
+                                None => pe.fold(n, max_count.min(62)),
+                            }
+                        }
+                    }
+                }
+            }
+            // End of pass: flush all PEs and scatter into the tile block.
+            let mut pass_stall = 0u64;
+            for (pi, row) in pes.chunks_exact_mut(arr_w).enumerate() {
+                for (ci, pe) in row.iter_mut().enumerate() {
+                    let (psums, fstats) = pe.drain_pass();
+                    if let Some(reg) = telemetry {
+                        pe.publish_telemetry(reg);
+                    }
+                    pass_stall = pass_stall.max(fstats.stall_cycles);
+                    for (n, &v) in psums.iter().enumerate() {
+                        let col = n * arr_w + ci;
+                        if col < c_out {
+                            tile_out[pi * c_out + col] = v;
+                        }
+                    }
+                }
+            }
+            stats.flush_stalls += pass_stall;
+            (tile_out, stats)
+        }
+    }
+
+    /// Run a GEMM under `plan` through both tile passes in the order
+    /// `run_gemm_faulty` schedules it — DRAM-transfer upsets first, then
+    /// chunk windows (when N exceeds the accumulation buffer) and pixel
+    /// tiles in sequence, each pass drawing from its own copy of the
+    /// session — and assert identical output bits, statistics and
+    /// `accel.pe.*` / `accel.regbin.*` telemetry tile by tile, and an
+    /// identical fault report at the end. Returns the per-PE oracle's
+    /// assembled output, statistics and report.
     fn assert_tile_paths_agree(
         arr: &SerialCascadingArray,
         w: &Tensor,
         counts: &[usize],
         a: &Tensor,
-    ) {
+        plan: &FaultPlan,
+    ) -> (Tensor, ArrayStats, FaultReport) {
         let cfg = arr.config;
-        let p = a.dims()[1];
-        let n_chunks = w.dims()[1].div_ceil(cfg.arr_w);
+        let (c_out, p) = (w.dims()[1], a.dims()[1]);
+        let mut oracle = (!plan.is_none()).then(|| {
+            let mut s = FaultSession::new(plan.clone());
+            s.set_retry_costs(cfg.truncation_period.max(1) as u64, cfg.arr_w as u64);
+            s
+        });
+        let w = match oracle.as_mut() {
+            Some(s) => Tensor::from_fn(w.dims(), |i| {
+                s.corrupt_f32(FaultClass::DramTransfer, w.as_slice()[i])
+            }),
+            None => w.clone(),
+        };
+        let mut flat_session = oracle.clone();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = Tensor::zeros(&[c_out, p]);
+        let mut stats = ArrayStats::default();
+        let n_chunks = c_out.div_ceil(cfg.arr_w);
         let window = cfg.accum_entries();
         for w0 in (0..n_chunks).step_by(window) {
             let w1 = (w0 + window).min(n_chunks);
-            let (ws, cs) = window_operands(w, counts, cfg.arr_w, w0, w1);
+            let (ws, cs) = window_operands(&w, counts, cfg.arr_w, w0, w1);
+            let (col0, width) = (w0 * cfg.arr_w, ws.dims()[1]);
             let (per_pe_reg, flat_reg) = (Registry::new(), Registry::new());
             let per_pe = GemmPass::new(&cfg, &ws, &cs, a, Some(&per_pe_reg));
             let flat = GemmPass::new(&cfg, &ws, &cs, a, Some(&flat_reg));
-            let mut macs = 0;
+            let mut window_stats = ArrayStats::default();
             for s in (0..p).step_by(cfg.arr_h) {
                 let tile = s..(s + cfg.arr_h).min(p);
-                let (want, want_stats) = arr.run_tile(tile.clone(), &per_pe, None);
-                let (got, got_stats) = arr.run_tile_flat(tile.clone(), &flat);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (want, want_stats) = arr.run_tile(tile.clone(), &per_pe, oracle.as_mut());
+                let (got, got_stats) =
+                    arr.run_tile_flat(tile.clone(), &flat, flat_session.as_mut());
                 assert_eq!(bits(&got), bits(&want), "window {w0} tile {tile:?}");
                 assert_eq!(got_stats, want_stats, "window {w0} tile {tile:?}");
-                macs += want_stats.macs;
+                for (pixel, row) in tile.zip(want.chunks_exact(width)) {
+                    for (col, &v) in row.iter().enumerate() {
+                        if v != 0.0 {
+                            out.as_mut_slice()[(col0 + col) * p + pixel] = v;
+                        }
+                    }
+                }
+                window_stats.absorb(&want_stats);
             }
             let (want, got) = (per_pe_reg.snapshot(), flat_reg.snapshot());
             assert_eq!(got.entries, want.entries, "window {w0}");
-            assert_eq!(want.counter("accel.pe.macs", ""), macs);
+            assert_eq!(want.counter("accel.pe.macs", ""), window_stats.macs);
+            window_stats.cycles += window_stats.flush_stalls;
+            stats.absorb(&window_stats);
         }
+        let report = |s: Option<FaultSession>| s.map(|s| s.report()).unwrap_or_default();
+        let want_report = report(oracle);
+        assert_eq!(report(flat_session), want_report);
+        stats.cycles += want_report.retry_cycles;
+        stats.flush_stalls += want_report.retry_cycles;
+        (out, stats, want_report)
+    }
+
+    /// Layers the tile-pass comparisons run on, with their arrays. (1)
+    /// arr_w = 4 does not divide c_out = 10 (last chunk 2 wide); arr_h = 3
+    /// does not divide P = 8; the row group 4..8 has no chunk at all. (2)
+    /// 64 chunks > 62 → two windows; c_out = 127 leaves the last chunk one
+    /// filter wide.
+    fn tile_pass_layers() -> [(CspHConfig, Tensor, Vec<usize>, Tensor); 2] {
+        let layer = |m: usize, c_out: usize, p: usize, step: f32| {
+            let w = Tensor::from_fn(&[m, c_out], |i| ((i as f32) * step).sin());
+            let a = Tensor::from_fn(&[m, p], |i| ((i as f32) * 0.37).cos());
+            (w, a)
+        };
+        let (w1, a1) = layer(11, 10, 8, 0.61);
+        let (w2, a2) = layer(5, 127, 5, 0.11);
+        [
+            (
+                small_config(4, 3, 4),
+                w1,
+                vec![3, 1, 2, 3, 0, 0, 0, 0, 2, 3, 1],
+                a1,
+            ),
+            (small_config(2, 2, 2), w2, vec![64, 0, 63, 61, 5], a2),
+        ]
     }
 
     #[test]
     fn flat_tile_pass_matches_per_pe_pass() {
-        // arr_w = 4 does not divide c_out = 10 (last chunk 2 wide); arr_h =
-        // 3 does not divide P = 8; the row group 4..8 has no chunk at all.
-        let (m, c_out, p) = (11usize, 10usize, 8usize);
-        let w = Tensor::from_fn(&[m, c_out], |i| ((i as f32) * 0.61).sin());
-        let a = Tensor::from_fn(&[m, p], |i| ((i as f32) * 0.37).cos());
-        let counts = [3usize, 1, 2, 3, 0, 0, 0, 0, 2, 3, 1];
-        let cfg = small_config(4, 3, 4);
-        assert_tile_paths_agree(&SerialCascadingArray::new(cfg, None), &w, &counts, &a);
+        let (cfg, w, counts, a) = &tile_pass_layers()[0];
+        let none = FaultPlan::none();
+        assert_tile_paths_agree(&SerialCascadingArray::new(*cfg, None), w, counts, a, &none);
         // Automatic folds every `period` MACs: below, at and above the
         // configured truncation period of 4 rows.
         for period in [1, 3, 4, 5, 9] {
             let t = TruncationConfig::new(period, 8, 0.02).unwrap();
-            let arr = SerialCascadingArray::new(cfg, Some(t));
-            assert_tile_paths_agree(&arr, &w, &counts, &a);
+            let arr = SerialCascadingArray::new(*cfg, Some(t));
+            assert_tile_paths_agree(&arr, w, counts, a, &none);
         }
     }
 
     #[test]
     fn flat_tile_pass_matches_per_pe_pass_in_chunk_windows() {
-        // 64 chunks > 62 → two windows; c_out = 127 leaves the last chunk
-        // one filter wide.
-        let (m, c_out, p) = (5usize, 127usize, 5usize);
-        let w = Tensor::from_fn(&[m, c_out], |i| ((i as f32) * 0.11).sin());
-        let a = Tensor::from_fn(&[m, p], |i| ((i as f32) * 0.37).cos());
-        let counts = [64usize, 0, 63, 61, 5];
-        let cfg = small_config(2, 2, 2);
-        assert_tile_paths_agree(&SerialCascadingArray::new(cfg, None), &w, &counts, &a);
+        let (cfg, w, counts, a) = &tile_pass_layers()[1];
+        let none = FaultPlan::none();
+        assert_tile_paths_agree(&SerialCascadingArray::new(*cfg, None), w, counts, a, &none);
         let t = TruncationConfig::new(1, 8, 0.02).unwrap();
-        assert_tile_paths_agree(&SerialCascadingArray::new(cfg, Some(t)), &w, &counts, &a);
+        let arr = SerialCascadingArray::new(*cfg, Some(t));
+        assert_tile_paths_agree(&arr, w, counts, a, &none);
+    }
+
+    #[test]
+    fn faulty_flat_pass_matches_per_pe_pass() {
+        use csp_sim::fault::{Protection, TargetedFault};
+        let mut plans = Vec::new();
+        for protection in [
+            Protection::None,
+            Protection::ParityRetry,
+            Protection::Secded,
+        ] {
+            for rate in [0.02, 0.2] {
+                for seed in [1, 7] {
+                    plans.push(FaultPlan::bernoulli(rate, seed).with_protection(protection));
+                }
+            }
+        }
+        let targeted_classes = [
+            FaultClass::IntermediateReg,
+            FaultClass::RegBin,
+            FaultClass::StuckMac,
+            FaultClass::WeightGlb,
+        ];
+        let hits = targeted_classes
+            .iter()
+            .zip([3, 5, 2, 4])
+            .map(|(&class, event)| TargetedFault {
+                class,
+                event,
+                bit: 30,
+            })
+            .collect();
+        plans.push(FaultPlan::targeted(hits, 0));
+        let mut injected = [0u64; csp_sim::fault::N_FAULT_CLASSES];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (cfg, w, counts, a) in &tile_pass_layers() {
+            let truncations = std::iter::once(None).chain(
+                [1, 3, 4, 5, 9].map(|period| Some(TruncationConfig::new(period, 8, 0.02).unwrap())),
+            );
+            for truncation in truncations {
+                let arr = SerialCascadingArray::new(*cfg, truncation);
+                for plan in &plans {
+                    let (want, want_stats, want_report) =
+                        assert_tile_paths_agree(&arr, w, counts, a, plan);
+                    let (got, got_stats, got_report) =
+                        arr.run_gemm_faulty(w, counts, a, plan).unwrap();
+                    let case = format!("{truncation:?} {plan:?}");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    assert_eq!(got_stats, want_stats, "{case}");
+                    assert_eq!(got_report, want_report, "{case}");
+                    if !plan.targeted.is_empty() {
+                        for class in targeted_classes {
+                            assert_eq!(got_report.injected[class.index()], 1, "{class:?} {case}");
+                        }
+                    }
+                    for (sum, n) in injected.iter_mut().zip(got_report.injected) {
+                        *sum += n;
+                    }
+                }
+            }
+        }
+        // Every datapath fault class fired somewhere in the campaign.
+        for class in [
+            FaultClass::RegBin,
+            FaultClass::IntermediateReg,
+            FaultClass::WeightGlb,
+            FaultClass::DramTransfer,
+            FaultClass::StuckMac,
+        ] {
+            assert!(injected[class.index()] > 0, "{class:?} never fired");
+        }
     }
 
     #[test]

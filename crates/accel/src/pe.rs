@@ -3,6 +3,7 @@
 
 use crate::accum::{AccumBuffer, FlushStats};
 use csp_pruning::truncation::TruncationConfig;
+#[cfg(test)]
 use csp_sim::fault::{FaultClass, FaultSession};
 
 /// A functional CSP-H PE.
@@ -67,52 +68,6 @@ impl Pe {
         self.ir_folds += 1;
     }
 
-    /// [`mac`](Self::mac) under a fault campaign: automatic period folds
-    /// go through [`fold_with_faults`](Self::fold_with_faults) so their IR
-    /// and RegBin vulnerable events are counted.
-    pub fn mac_with_faults(
-        &mut self,
-        activation: f32,
-        weight: f32,
-        chunk: usize,
-        row_chunk_count: usize,
-        session: &mut FaultSession,
-    ) {
-        self.ir += activation * weight;
-        self.ir_count += 1;
-        self.macs += 1;
-        let period = self.truncation.map_or(usize::MAX, |t| t.period);
-        if self.ir_count >= period {
-            self.fold_with_faults(chunk, row_chunk_count, session);
-        }
-    }
-
-    /// [`fold`](Self::fold) under a fault campaign. Two vulnerable events
-    /// per fold: the IR read-out (IEEE-754 bit flip) and the RegBin
-    /// read-modify-write on the stored partial sum (fixed-point bit flip,
-    /// subject to the plan's protection scheme).
-    pub fn fold_with_faults(
-        &mut self,
-        chunk: usize,
-        row_chunk_count: usize,
-        session: &mut FaultSession,
-    ) {
-        if self.ir_count == 0 {
-            return;
-        }
-        let ir = session.corrupt_f32(FaultClass::IntermediateReg, self.ir);
-        self.accum
-            .apply_fault(chunk, |stored| session.regbin_access(stored));
-        let new = self.accum.accumulate(chunk, ir, row_chunk_count);
-        if let Some(t) = self.truncation {
-            let truncated = t.truncate(new);
-            self.accum.poke(chunk, truncated);
-        }
-        self.ir = 0.0;
-        self.ir_count = 0;
-        self.ir_folds += 1;
-    }
-
     /// Partial sum currently held for `chunk`.
     pub fn partial_sum(&self, chunk: usize) -> f32 {
         self.accum.peek(chunk)
@@ -122,18 +77,11 @@ impl Pe {
     /// chunk-ordered partial sums and flush stats, and closes the pass for
     /// clock-gating statistics.
     pub fn flush(&mut self) -> (Vec<f32>, FlushStats) {
-        let out = self.drain_pass();
+        let out = self.accum.flush();
+        self.accum.end_pass();
         if csp_telemetry::enabled() {
             self.publish_telemetry(csp_telemetry::Registry::global());
         }
-        out
-    }
-
-    /// [`flush`](Self::flush) without the telemetry publish, for callers
-    /// that choose the registry themselves.
-    pub(crate) fn drain_pass(&mut self) -> (Vec<f32>, FlushStats) {
-        let out = self.accum.flush();
-        self.accum.end_pass();
         out
     }
 
@@ -167,6 +115,65 @@ impl Pe {
     /// IR-to-RegBin folds so far (each is one truncation event).
     pub fn ir_folds(&self) -> u64 {
         self.ir_folds
+    }
+}
+
+/// The per-PE fault hooks and registry-free drain of the IpOS tile-pass
+/// oracle in `array.rs` tests.
+#[cfg(test)]
+impl Pe {
+    /// [`mac`](Self::mac) under a fault campaign: automatic period folds
+    /// go through [`fold_with_faults`](Self::fold_with_faults) so their IR
+    /// and RegBin vulnerable events are counted.
+    pub(crate) fn mac_with_faults(
+        &mut self,
+        activation: f32,
+        weight: f32,
+        chunk: usize,
+        row_chunk_count: usize,
+        session: &mut FaultSession,
+    ) {
+        self.ir += activation * weight;
+        self.ir_count += 1;
+        self.macs += 1;
+        let period = self.truncation.map_or(usize::MAX, |t| t.period);
+        if self.ir_count >= period {
+            self.fold_with_faults(chunk, row_chunk_count, session);
+        }
+    }
+
+    /// [`fold`](Self::fold) under a fault campaign. Two vulnerable events
+    /// per fold: the IR read-out (IEEE-754 bit flip) and the RegBin
+    /// read-modify-write on the stored partial sum (fixed-point bit flip,
+    /// subject to the plan's protection scheme).
+    pub(crate) fn fold_with_faults(
+        &mut self,
+        chunk: usize,
+        row_chunk_count: usize,
+        session: &mut FaultSession,
+    ) {
+        if self.ir_count == 0 {
+            return;
+        }
+        let ir = session.corrupt_f32(FaultClass::IntermediateReg, self.ir);
+        self.accum
+            .apply_fault(chunk, |stored| session.regbin_access(stored));
+        let new = self.accum.accumulate(chunk, ir, row_chunk_count);
+        if let Some(t) = self.truncation {
+            let truncated = t.truncate(new);
+            self.accum.poke(chunk, truncated);
+        }
+        self.ir = 0.0;
+        self.ir_count = 0;
+        self.ir_folds += 1;
+    }
+
+    /// [`flush`](Self::flush) without the telemetry publish, for callers
+    /// that choose the registry themselves.
+    pub(crate) fn drain_pass(&mut self) -> (Vec<f32>, FlushStats) {
+        let out = self.accum.flush();
+        self.accum.end_pass();
+        out
     }
 }
 

@@ -486,10 +486,7 @@ fn write_json(
     ));
     body.push_str(&format!("  \"backend\": \"{}\",\n", run.backend.name()));
     body.push_str(&format!("  \"backend_lanes\": {},\n", run.backend.lanes()));
-    body.push_str(&format!(
-        "  \"grain\": {},\n",
-        csp_runtime::Pool::current().grain()
-    ));
+    body.push_str(&format!("  \"grain\": {},\n", csp_runtime::DEFAULT_GRAIN));
     body.push_str(&format!(
         "  \"dispatch_probe\": {{\"width\": {}, \"first_call_ns\": {}, \"steady_ns\": {}, \
          \"calls\": {}}},\n",
@@ -607,7 +604,7 @@ fn main() -> ExitCode {
         probe.first_call_ns,
         probe.steady_ns,
         probe.calls,
-        csp_runtime::Pool::current().grain()
+        csp_runtime::DEFAULT_GRAIN
     );
     let rows = vec![
         bench_matmul(&mut c, threads, smoke),

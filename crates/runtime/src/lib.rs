@@ -36,18 +36,17 @@
 //!
 //! The infallible APIs ([`Pool::map_collect`] and friends) keep their
 //! historical semantics: a panicking chunk closure is re-raised on the
-//! caller after the dispatch quiesces. The `try_*` APIs instead return
-//! typed [`RuntimeError`]s: [`RuntimeError::ChunkPanicked`] carries the
-//! **lowest** panicking chunk index (width-invariant, because chunks are
-//! claimed in ascending order), and [`RuntimeError::Stalled`] reports a
-//! dispatch that exceeded its watchdog deadline
-//! ([`Pool::with_stall_deadline`], or `CSP_STALL_MS`).
+//! caller after the dispatch quiesces. [`Pool::try_map_collect`] instead
+//! returns typed [`RuntimeError`]s: [`RuntimeError::ChunkPanicked`]
+//! carries the **lowest** panicking chunk index (width-invariant, because
+//! chunks are claimed in ascending order), and [`RuntimeError::Stalled`]
+//! reports a dispatch that exceeded its watchdog deadline
+//! ([`Pool::with_stall_deadline`]; none by default).
 //!
 //! ## Granularity cutoff
 //!
 //! The `*_weighted` APIs take an approximate per-item cost in abstract
-//! units; when `items × unit_cost` falls below the pool's grain
-//! ([`DEFAULT_GRAIN`], or `CSP_GRAIN`, or [`Pool::with_grain`]) the
+//! units; when `items × unit_cost` falls below [`DEFAULT_GRAIN`] the
 //! dispatch takes the inline serial path instead of paying fork-join
 //! overhead for tiny work — the fix for sub-1× speedups on small
 //! batches. The unweighted APIs never apply the cutoff.
@@ -103,18 +102,13 @@ use std::cell::Cell;
 use std::sync::{OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Default granularity cutoff for the `*_weighted` APIs, in abstract
-/// work units (≈ one multiply-accumulate each): below this much total
-/// work a dispatch runs inline serial. Override per-process with
-/// `CSP_GRAIN` or per-pool with [`Pool::with_grain`].
+/// Granularity cutoff for the `*_weighted` APIs, in abstract work units
+/// (≈ one multiply-accumulate each): below this much total work a
+/// dispatch runs inline serial.
 pub const DEFAULT_GRAIN: u64 = 32_768;
 
 /// Process-wide default thread count, resolved once.
 static GLOBAL_THREADS: OnceLock<usize> = OnceLock::new();
-/// Process-wide granularity cutoff, resolved once.
-static GLOBAL_GRAIN: OnceLock<u64> = OnceLock::new();
-/// Process-wide stall-watchdog deadline, resolved once.
-static GLOBAL_STALL: OnceLock<Option<Duration>> = OnceLock::new();
 
 thread_local! {
     /// Innermost `with_threads` override on this thread (`None` = use the
@@ -133,26 +127,6 @@ fn resolve_global() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-fn resolve_grain() -> u64 {
-    if let Ok(v) = std::env::var("CSP_GRAIN") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            return n;
-        }
-    }
-    DEFAULT_GRAIN
-}
-
-fn resolve_stall() -> Option<Duration> {
-    if let Ok(v) = std::env::var("CSP_STALL_MS") {
-        if let Ok(ms) = v.trim().parse::<u64>() {
-            if ms > 0 {
-                return Some(Duration::from_millis(ms));
-            }
-        }
-    }
-    None
 }
 
 /// Run `f` with the current thread's pool size overridden to `threads`
@@ -182,9 +156,9 @@ impl Drop for OverrideGuard {
     }
 }
 
-/// A deterministic dispatch handle: a width plus the partitioning,
-/// ordered-reduction, granularity, and watchdog rules documented at the
-/// crate root.
+/// A deterministic dispatch handle: a width and a watchdog deadline plus
+/// the partitioning, ordered-reduction and granularity rules documented
+/// at the crate root.
 ///
 /// `Pool` is `Copy` — it carries no OS resources. Dispatches borrow
 /// workers from the process-wide persistent pool and release them at
@@ -193,18 +167,16 @@ impl Drop for OverrideGuard {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
-    grain: u64,
     stall: Option<Duration>,
 }
 
 impl Pool {
-    /// A pool with exactly `threads` workers (clamped to at least 1),
-    /// the process-default grain and stall deadline.
+    /// A pool with exactly `threads` workers (clamped to at least 1) and
+    /// no stall deadline.
     pub fn new(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
-            grain: *GLOBAL_GRAIN.get_or_init(resolve_grain),
-            stall: *GLOBAL_STALL.get_or_init(resolve_stall),
+            stall: None,
         }
     }
 
@@ -233,18 +205,6 @@ impl Pool {
         self.threads == 1
     }
 
-    /// The granularity cutoff applied by the `*_weighted` APIs, in
-    /// abstract work units.
-    pub fn grain(&self) -> u64 {
-        self.grain
-    }
-
-    /// Replace the granularity cutoff (see [`DEFAULT_GRAIN`]).
-    pub fn with_grain(mut self, grain: u64) -> Self {
-        self.grain = grain;
-        self
-    }
-
     /// The stall-watchdog deadline, if any. The watchdog applies to the
     /// `try_*` APIs only: the infallible APIs have no typed channel to
     /// report slowness on, and escalating an honestly slow kernel to a
@@ -254,18 +214,18 @@ impl Pool {
     }
 
     /// Replace the stall-watchdog deadline. `None` disables the
-    /// watchdog (the default, unless `CSP_STALL_MS` is set).
+    /// watchdog (the default).
     pub fn with_stall_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.stall = deadline;
         self
     }
 
     /// Effective dispatch width for `n_items` of `unit_cost` each:
-    /// 1 when the total work falls below the grain, else the thread
-    /// count clamped to the item count.
+    /// 1 when the total work falls below [`DEFAULT_GRAIN`], else the
+    /// thread count clamped to the item count.
     fn width_for(&self, n_items: usize, unit_cost: u64) -> usize {
         let work = (n_items as u64).saturating_mul(unit_cost.max(1));
-        if work < self.grain {
+        if work < DEFAULT_GRAIN {
             1
         } else {
             self.threads.min(n_items).max(1)
@@ -293,8 +253,8 @@ impl Pool {
     }
 
     /// [`Pool::map_collect`] with a granularity cutoff: when
-    /// `n × unit_cost` (abstract units, ≈ one MAC each) falls below the
-    /// pool grain, runs inline serial instead of dispatching.
+    /// `n × unit_cost` (abstract units, ≈ one MAC each) falls below
+    /// [`DEFAULT_GRAIN`], runs inline serial instead of dispatching.
     pub fn map_collect_weighted<R, F>(&self, n: usize, unit_cost: u64, f: F) -> Vec<R>
     where
         R: Send,
@@ -354,19 +314,8 @@ impl Pool {
 
     /// Compute `f(0..n)` chunk results and fold them into `init` **in
     /// ascending index order** on the calling thread — the ordered
-    /// reduction used for gradient accumulation and energy sums.
-    pub fn fold_ordered<R, A, F, G>(&self, n: usize, f: F, init: A, fold: G) -> A
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.fold_engine(n, u64::MAX, f, init, fold)
-            .unwrap_or_else(|e| e.raise("runtime.fold_ordered"))
-    }
-
-    /// [`Pool::fold_ordered`] with the granularity cutoff of
-    /// [`Pool::map_collect_weighted`].
+    /// reduction used for gradient accumulation and energy sums — with
+    /// the granularity cutoff of [`Pool::map_collect_weighted`].
     pub fn fold_ordered_weighted<R, A, F, G>(
         &self,
         n: usize,
@@ -382,25 +331,6 @@ impl Pool {
     {
         self.fold_engine(n, unit_cost, f, init, fold)
             .unwrap_or_else(|e| e.raise("runtime.fold_ordered"))
-    }
-
-    /// Fallible [`Pool::fold_ordered`] with typed containment.
-    pub fn try_fold_ordered<R, A, F, G>(
-        &self,
-        n: usize,
-        f: F,
-        init: A,
-        mut fold: G,
-    ) -> Result<A, RuntimeError>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        let parts = self
-            .map_engine(n, u64::MAX, &f, true)
-            .map_err(|e| e.into_error("runtime.fold_ordered"))?;
-        Ok(parts.into_iter().fold(init, &mut fold))
     }
 
     fn fold_engine<R, A, F, G>(
@@ -436,21 +366,11 @@ impl Pool {
     /// chunk)` over them. Chunk boundaries depend only on `data.len()`
     /// and `chunk_len`, never on the thread count; chunks are disjoint
     /// `&mut` slices, so any worker assignment yields identical memory.
+    /// When `data.len() × unit_cost` falls below [`DEFAULT_GRAIN`], runs
+    /// inline serial instead of dispatching.
     ///
     /// Panics in `f` are contained, then re-raised on the caller after
     /// the dispatch quiesces.
-    pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, usize, &mut [T]) + Sync,
-    {
-        self.chunks_engine(data, chunk_len, u64::MAX, &f, false)
-            .unwrap_or_else(|e| e.raise("runtime.chunks"))
-    }
-
-    /// [`Pool::for_each_chunk_mut`] with a granularity cutoff: when
-    /// `data.len() × unit_cost` falls below the pool grain, runs inline
-    /// serial instead of dispatching.
     pub fn for_each_chunk_mut_weighted<T, F>(
         &self,
         data: &mut [T],
@@ -461,28 +381,8 @@ impl Pool {
         T: Send,
         F: Fn(usize, usize, &mut [T]) + Sync,
     {
-        self.chunks_engine(data, chunk_len, unit_cost, &f, false)
+        self.chunks_engine(data, chunk_len, unit_cost, &f)
             .unwrap_or_else(|e| e.raise("runtime.chunks"))
-    }
-
-    /// Fallible [`Pool::for_each_chunk_mut`] with typed containment.
-    ///
-    /// On `Err`, `data` may have been partially written (chunks that
-    /// completed before the failure keep their outputs); the error tells
-    /// the caller which chunk failed so the computation can be retried
-    /// or abandoned wholesale.
-    pub fn try_for_each_chunk_mut<T, F>(
-        &self,
-        data: &mut [T],
-        chunk_len: usize,
-        f: F,
-    ) -> Result<(), RuntimeError>
-    where
-        T: Send,
-        F: Fn(usize, usize, &mut [T]) + Sync,
-    {
-        self.chunks_engine(data, chunk_len, u64::MAX, &f, true)
-            .map_err(|e| e.into_error("runtime.chunks"))
     }
 
     fn chunks_engine<T, F>(
@@ -491,7 +391,6 @@ impl Pool {
         chunk_len: usize,
         unit_cost: u64,
         f: &F,
-        typed: bool,
     ) -> Result<(), DispatchFailure>
     where
         T: Send,
@@ -500,13 +399,13 @@ impl Pool {
         let chunk_len = chunk_len.max(1);
         let n_chunks = data.len().div_ceil(chunk_len);
         let work = (data.len() as u64).saturating_mul(unit_cost.max(1));
-        let nt = if work < self.grain {
+        let nt = if work < DEFAULT_GRAIN {
             1
         } else {
             self.threads.min(n_chunks).max(1)
         };
         let _region = region_telemetry("runtime.chunks", n_chunks, nt);
-        if nt == 1 && !typed && !chaos::active() {
+        if nt == 1 && !chaos::active() {
             // Exact serial code path.
             for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
                 f(ci, ci * chunk_len, chunk);
@@ -526,7 +425,7 @@ impl Pool {
             let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(off), end - off) };
             f(ci, off, chunk);
         };
-        pool::run_dispatch(nt, if typed { self.stall } else { None }, n_chunks, &runner)
+        pool::run_dispatch(nt, None, n_chunks, &runner)
     }
 }
 
@@ -619,9 +518,18 @@ mod tests {
         // Sum of f32 values in strictly ascending chunk order: every
         // thread count must produce the same bits.
         let vals: Vec<f32> = (0..97).map(|i| (i as f32 * 0.731).sin() * 1e3).collect();
-        let serial = Pool::new(1).fold_ordered(vals.len(), |i| vals[i], 0.0f32, |a, v| a + v);
+        let sum = |t: usize| {
+            Pool::new(t).fold_ordered_weighted(
+                vals.len(),
+                u64::MAX,
+                |i| vals[i],
+                0.0f32,
+                |a, v| a + v,
+            )
+        };
+        let serial = sum(1);
         for t in [2, 4, 8] {
-            let par = Pool::new(t).fold_ordered(vals.len(), |i| vals[i], 0.0f32, |a, v| a + v);
+            let par = sum(t);
             assert_eq!(serial.to_bits(), par.to_bits(), "threads={t}");
         }
     }
@@ -630,7 +538,7 @@ mod tests {
     fn for_each_chunk_mut_covers_disjoint_chunks() {
         for t in [1, 2, 4, 8] {
             let mut data = vec![0u32; 37];
-            Pool::new(t).for_each_chunk_mut(&mut data, 5, |ci, off, chunk| {
+            Pool::new(t).for_each_chunk_mut_weighted(&mut data, 5, u64::MAX, |ci, off, chunk| {
                 for (k, v) in chunk.iter_mut().enumerate() {
                     *v = (ci * 100 + off + k) as u32;
                 }
@@ -650,7 +558,7 @@ mod tests {
             let mut data = vec![0u8; 23];
             let pool = Pool::new(t);
             let log = std::sync::Mutex::new(Vec::new());
-            pool.for_each_chunk_mut(&mut data, 4, |ci, off, chunk| {
+            pool.for_each_chunk_mut_weighted(&mut data, 4, u64::MAX, |ci, off, chunk| {
                 log.lock().unwrap().push((ci, off, chunk.len()));
             });
             let mut v = log.into_inner().unwrap();
@@ -707,45 +615,34 @@ mod tests {
                 pool.map_collect(9, |i| i * 3),
                 "threads={t}"
             );
-            let mut a = vec![0u32; 17];
-            let mut b = vec![0u32; 17];
-            pool.for_each_chunk_mut(&mut a, 4, |ci, _, c| c.fill(ci as u32));
-            pool.try_for_each_chunk_mut(&mut b, 4, |ci, _, c| c.fill(ci as u32))
-                .unwrap();
-            assert_eq!(a, b, "threads={t}");
-            let f = pool
-                .try_fold_ordered(12, |i| i as u64, 0u64, |a, v| a + v)
-                .unwrap();
-            assert_eq!(f, pool.fold_ordered(12, |i| i as u64, 0u64, |a, v| a + v));
         }
     }
 
     #[test]
     fn weighted_cutoff_serializes_small_work() {
-        let pool = Pool::new(8).with_grain(1_000);
-        assert_eq!(pool.width_for(10, 1), 1, "10 units < grain 1000");
-        assert_eq!(pool.width_for(10, 1_000), 8, "10k units >= grain");
+        let pool = Pool::new(8);
+        let (small, big) = (1, DEFAULT_GRAIN);
+        assert_eq!(pool.width_for(10, small), 1, "10 units < grain");
+        assert_eq!(pool.width_for(10, big), 8, "10 × grain units >= grain");
         assert_eq!(pool.width_for(0, u64::MAX), 1, "empty work is serial");
         // Results are identical either side of the cutoff.
-        let small = pool.map_collect_weighted(10, 1, |i| i * i);
-        let big = pool.map_collect_weighted(10, 1_000, |i| i * i);
-        assert_eq!(small, big);
+        let sm = pool.map_collect_weighted(10, small, |i| i * i);
+        let bm = pool.map_collect_weighted(10, big, |i| i * i);
+        assert_eq!(sm, bm);
         let mut sd = vec![0u8; 64];
         let mut bd = vec![0u8; 64];
-        pool.for_each_chunk_mut_weighted(&mut sd, 8, 1, |ci, _, c| c.fill(ci as u8));
-        pool.for_each_chunk_mut_weighted(&mut bd, 8, 1_000, |ci, _, c| c.fill(ci as u8));
+        pool.for_each_chunk_mut_weighted(&mut sd, 8, small, |ci, _, c| c.fill(ci as u8));
+        pool.for_each_chunk_mut_weighted(&mut bd, 8, big, |ci, _, c| c.fill(ci as u8));
         assert_eq!(sd, bd);
-        let fs = pool.fold_ordered_weighted(20, 1, |i| i as f32, 0.0, |a, v| a + v);
-        let fb = pool.fold_ordered_weighted(20, 1_000, |i| i as f32, 0.0, |a, v| a + v);
+        let fs = pool.fold_ordered_weighted(20, small, |i| i as f32, 0.0, |a, v| a + v);
+        let fb = pool.fold_ordered_weighted(20, big, |i| i as f32, 0.0, |a, v| a + v);
         assert_eq!(fs.to_bits(), fb.to_bits());
     }
 
     #[test]
     fn builders_round_trip() {
-        let p = Pool::new(2)
-            .with_grain(77)
-            .with_stall_deadline(Some(Duration::from_millis(9)));
-        assert_eq!(p.grain(), 77);
+        assert_eq!(Pool::new(2).stall_deadline(), None);
+        let p = Pool::new(2).with_stall_deadline(Some(Duration::from_millis(9)));
         assert_eq!(p.stall_deadline(), Some(Duration::from_millis(9)));
         assert_eq!(p.with_stall_deadline(None).stall_deadline(), None);
     }

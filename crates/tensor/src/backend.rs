@@ -257,7 +257,7 @@ impl KernelBackend {
     /// Effective weighted-dispatch unit cost for work that costs
     /// `scalar_cost` abstract units (≈ MACs) per element on the scalar
     /// backend: wider lanes finish the same element count sooner, so the
-    /// `CSP_GRAIN` cutoff must see proportionally less work or small
+    /// `DEFAULT_GRAIN` cutoff must see proportionally less work or small
     /// problems would pay pool dispatch for sub-grain compute.
     pub fn unit_cost(self, scalar_cost: u64) -> u64 {
         (scalar_cost / self.lanes() as u64).max(1)

@@ -151,7 +151,7 @@ pub(crate) fn gemm(
     // Each output element costs ~k MACs; the weighted dispatch lets tiny
     // GEMMs (small heads, smoke shapes) skip pool dispatch entirely.
     // Lanes divide the effective per-element cost, so wider backends keep
-    // more small shapes on the calling thread (CSP_GRAIN accounting).
+    // more small shapes on the calling thread (`DEFAULT_GRAIN` accounting).
     Pool::current().for_each_chunk_mut_weighted(
         &mut out,
         ROW_CHUNK * n,
